@@ -100,4 +100,9 @@ def explains(tree: LabeledTree, fmap: FitchMap) -> bool:
         result = evaluate(tree)
     except LabelConflict:
         return False
-    return result.encoding(fmap.leaves) == fmap.encoding()
+    # result code -> fmap code, by symbol (-2: absent); trans[-1] maps the diagonal
+    code = {s: i for i, s in enumerate(fmap.alphabet, start=1)}
+    trans = [0] + [code.get(s, -2) for s in result.alphabet] + [-1]
+    perm = [result._index[nm] for nm in fmap.leaves]
+    rows = [result._rows[i] for i in perm]
+    return all([trans[row[j]] for j in perm] == want for row, want in zip(rows, fmap._rows))

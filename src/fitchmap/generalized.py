@@ -8,6 +8,10 @@ the NO_EVENT class have only NO_EVENT in-arcs.  The assembled tree hangs
 each class's least-resolved subtree under the root, below an extra
 symbol edge exactly when the subtree is a single leaf or its root meets a
 NO_EVENT edge.
+
+recognize() assembles that tree once and certifies it once with explains();
+by the characterization theorem this passes exactly on tree-like maps, so
+the T2/T3 diagnostics of check_conditions() run only to name a witness.
 """
 
 from __future__ import annotations
@@ -21,17 +25,16 @@ from .core import (
     FitchMap,
     Label,
     LabeledTree,
-    LabelConflict,
     QuasiPartition,
     TreeBuilder,
     label_token,
 )
-from .evaluate import evaluate
-from .simple_fitch import Digraph, NotFitch, _structurally_least_resolved, find_forbidden_triad, least_resolved_simple
+from .evaluate import evaluate, explains
+from .simple_fitch import Digraph, NotFitch, _decompose, _structurally_least_resolved, find_forbidden_triad, least_resolved_simple
 
 
 class NotOtimesFree(FitchError):
-    """The fast path for maps without NO_EVENT entries got one."""
+    """recognize_no_otimes() got a map with a NO_EVENT entry."""
 
 
 @dataclass(frozen=True)
@@ -245,18 +248,17 @@ def check_conditions(fmap: FitchMap, classes: QuasiPartition) -> Optional[Violat
 def assemble(fmap: FitchMap, classes: QuasiPartition) -> LabeledTree:
     """Assemble the least-resolved tree for a map satisfying T1 to T4.
 
-    When the whole leaf set is one symbol class, the class tree already is
-    the answer: hanging it below an extra root edge would leave that root
-    with a single child, and contracting the edge lands back on the class
-    tree itself.
+    The tree is not verified: on other maps it may fail to explain the map,
+    or NotFitch is raised at a structural dead end.  When the whole leaf set
+    is one symbol class, the class tree already is the answer: hanging it
+    below an extra root edge would leave that root with a single child, and
+    contracting the edge lands back on the class tree itself.
     """
     codes = _class_codes(fmap, classes)
     no_event_idx = [i for i in range(fmap.n) if codes[i] == 0]
 
     if len(fmap.alphabet) == 1 and not no_event_idx:
-        return least_resolved_simple(
-            _class_digraph(fmap, list(range(fmap.n))), symbol=fmap.alphabet[0]
-        )
+        return _decompose(_class_digraph(fmap, list(range(fmap.n))), fmap.alphabet[0])
 
     builder = TreeBuilder()
     rho = builder.root()
@@ -265,7 +267,7 @@ def assemble(fmap: FitchMap, classes: QuasiPartition) -> LabeledTree:
         if len(member_idx) == 1:
             builder.child(rho, m, name=fmap.leaves[member_idx[0]])
             continue
-        t_m = least_resolved_simple(_class_digraph(fmap, member_idx), symbol=m)
+        t_m = _decompose(_class_digraph(fmap, member_idx), m)
         root_meets_no_event = any(
             t_m.label(c) is NO_EVENT for c in t_m.children(t_m.root)
         )
@@ -280,43 +282,35 @@ def assemble(fmap: FitchMap, classes: QuasiPartition) -> LabeledTree:
 
 def recognize(fmap: FitchMap) -> RecognitionReport:
     """Decide tree-likeness; on success the report carries the unique
-    least-resolved explaining tree, otherwise one violation witness."""
+    least-resolved explaining tree, certified by explains(), otherwise the
+    violation witness that check_conditions() names."""
     limit = 2 * fmap.n - 2
     if len(fmap.alphabet) > limit:
         return RecognitionReport(None, AlphabetTooLarge(len(fmap.alphabet), limit))
     classes = compute_classes(fmap)
     if isinstance(classes, T1Violation):
         return RecognitionReport(None, classes)
-    violation = check_conditions(fmap, classes)
-    if violation is not None:
-        return RecognitionReport(None, violation)
-    return RecognitionReport(assemble(fmap, classes), None)
+    try:
+        tree = assemble(fmap, classes)
+    except NotFitch:
+        pass
+    else:
+        if explains(tree, fmap):
+            return RecognitionReport(tree, None)
+    return RecognitionReport(None, check_conditions(fmap, classes))
 
 
 def recognize_no_otimes(fmap: FitchMap) -> RecognitionReport:
-    """Fast path for maps without NO_EVENT entries: only T1 and T3 are
-    decisive there, since every class digraph is complete and the no-event
-    class is empty.  Must agree with recognize() on all such maps."""
+    """recognize() for maps without NO_EVENT entries, kept for API
+    compatibility."""
     if not fmap.otimes_free:
         raise NotOtimesFree("map contains a NO_EVENT entry")
-    limit = 2 * fmap.n - 2
-    if len(fmap.alphabet) > limit:
-        return RecognitionReport(None, AlphabetTooLarge(len(fmap.alphabet), limit))
-    classes = compute_classes(fmap)
-    if isinstance(classes, T1Violation):
-        return RecognitionReport(None, classes)
-    v3 = _check_t3(fmap, _class_codes(fmap, classes))
-    if v3 is not None:
-        return RecognitionReport(None, v3)
-    return RecognitionReport(assemble(fmap, classes), None)
+    return recognize(fmap)
 
 
 def is_least_resolved_general(tree: LabeledTree) -> bool:
     """Structural least-resolvedness: no inner NO_EVENT edge, and every
     non-root inner vertex meets an outer NO_EVENT edge.  Raises
     LabelConflict for trees that explain no map at all."""
-    try:
-        evaluate(tree)
-    except LabelConflict:
-        raise
+    evaluate(tree)
     return _structurally_least_resolved(tree)

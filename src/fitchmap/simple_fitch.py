@@ -76,9 +76,6 @@ class Digraph:
     def n(self) -> int:
         return len(self.vertices)
 
-    def has_arc(self, x: str, y: str) -> bool:
-        return bool(self._out[self._index[x]] >> self._index[y] & 1)
-
     @property
     def arcs(self) -> frozenset:
         vs = self.vertices
@@ -174,9 +171,6 @@ class ForbiddenTriadTable:
     def __len__(self) -> int:
         return len(self.canonical_masks)
 
-    def forbids_mask(self, mask: int) -> bool:
-        return self._is_forbidden[mask]
-
 
 @lru_cache(maxsize=1)
 def derive_forbidden_table() -> ForbiddenTriadTable:
@@ -252,23 +246,15 @@ def _sim_components(g: Digraph, members: int) -> list[int]:
     return comps
 
 
-def least_resolved_simple(g: Digraph, symbol: str = "1") -> LabeledTree:
-    """Build the unique least-resolved single-symbol tree explaining g.
+def _decompose(g: Digraph, symbol: str) -> LabeledTree:
+    """Unverified recursive decomposition of g (at least 2 vertices).
 
-    Recursive decomposition: vertices without incoming arcs become
-    NO_EVENT leaf children of the local root; the rest splits into
-    components of the 'not doubly linked' relation, each hung below a
-    symbol edge (singletons as leaves, larger components recursively).
-    The result is re-evaluated against g, so a wrong tree can never be
-    returned; any structural dead end or verification mismatch raises
-    NotFitch.
+    Vertices without incoming arcs become NO_EVENT leaf children of the
+    local root; the rest splits into components of the 'not doubly linked'
+    relation, each hung below a symbol edge (singletons as leaves, larger
+    components recursively).  A structural dead end raises NotFitch; on a
+    digraph that is not simple Fitch the tree may also just be wrong.
     """
-    check_token(symbol, "symbol")
-    if g.n == 0:
-        raise ValueError("digraph must have at least one vertex")
-    if g.n == 1:
-        return LabeledTree.single_leaf(g.vertices[0])
-
     builder = TreeBuilder()
     vs = g.vertices
     stack: list[tuple[int, int, bool]] = [(builder.root(), (1 << g.n) - 1, True)]
@@ -295,12 +281,26 @@ def least_resolved_simple(g: Digraph, symbol: str = "1") -> LabeledTree:
                 builder.child(at, symbol, name=vs[comp.bit_length() - 1])
             else:
                 stack.append((builder.child(at, symbol), comp, False))
+    return builder.freeze()
 
-    tree = builder.freeze()
+
+def least_resolved_simple(g: Digraph, symbol: str = "1") -> LabeledTree:
+    """Build the unique least-resolved single-symbol tree explaining g.
+
+    The decomposition's tree is re-evaluated against g, so a wrong tree can
+    never be returned; any structural dead end or mismatch raises NotFitch.
+    """
+    check_token(symbol, "symbol")
+    if g.n == 0:
+        raise ValueError("digraph must have at least one vertex")
+    if g.n == 1:
+        return LabeledTree.single_leaf(g.vertices[0])
+
+    tree = _decompose(g, symbol)
     # mandatory self-verification, at code level to avoid materializing
     # the arc set as name pairs
     fm = evaluate(tree)
-    perm = [fm._index[nm] for nm in vs]
+    perm = [fm._index[nm] for nm in g.vertices]
     rev = list(reversed(perm))
     rows = fm._rows
     for a in range(g.n):

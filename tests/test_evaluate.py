@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from conftest import naive_evaluate, random_labeling
 from fitchmap.core import (
     NO_EVENT,
+    FitchMap,
     LabelConflict,
     LabeledTree,
     LeafSetMismatch,
@@ -138,3 +139,20 @@ class TestExplains:
         fm = evaluate(EXAMPLE)
         assert set(bad.leaf_names) == set(fm.leaves)
         assert not explains(bad, fm)
+
+    def test_reversed_leaf_order_with_one_entry_changed(self):
+        fm = evaluate(EXAMPLE)
+        entries = dict(fm.pairs())
+        order = list(reversed(fm.leaves))
+        assert explains(EXAMPLE, make_fitch_map(order, entries))
+        assert entries[("b", "a")] is NO_EVENT
+        entries[("b", "a")] = "2"
+        changed = make_fitch_map(order, entries)
+        assert changed.alphabet == fm.alphabet
+        assert not explains(EXAMPLE, changed)
+
+    def test_unsorted_alphabet_compares_by_symbol(self):
+        tree = LabeledTree.build((("a", "1"), ("b", "2")))
+        # code 1 is "2" and code 2 is "1" here, the reverse of evaluate's
+        assert explains(tree, FitchMap(["a", "b"], ("2", "1"), [[-1, 1], [2, -1]]))
+        assert not explains(tree, FitchMap(["a", "b"], ("2", "1"), [[-1, 2], [1, -1]]))

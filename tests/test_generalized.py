@@ -1,5 +1,10 @@
+import importlib
+import random
+
 import pytest
 
+import fitchmap.generalized
+import fitchmap.simple_fitch
 from fitchmap.core import (
     NO_EVENT,
     LabelConflict,
@@ -23,6 +28,7 @@ from fitchmap.generalized import (
     recognize_no_otimes,
 )
 from fitchmap.oracle import random_tree_like_instance
+from fitchmap.simple_fitch import NotFitch
 
 EXAMPLE_TREE = LabeledTree.build(
     (((("a", NO_EVENT), ("b", "2")), "2"), ("c", NO_EVENT))
@@ -278,3 +284,54 @@ class TestRecognizeNoOtimes:
             assert fast.tree_like == full.tree_like
             if fast.tree_like:
                 assert fast.tree.same_topology(full.tree)
+
+
+class TestSinglePipeline:
+    def test_success_path_runs_no_diagnostics(self, monkeypatch):
+        maps = [EXAMPLE_MAP] + [random_tree_like_instance(seed, 64, 4)[1] for seed in range(4)]
+        expected = [recognize(m).tree for m in maps]
+        assert expected[0] == EXAMPLE_TREE
+
+        def diagnostic(*args, **kwargs):
+            raise AssertionError("a diagnostic ran on a tree-like map")
+
+        for name in ("check_conditions", "least_resolved_simple", "find_forbidden_triad"):
+            monkeypatch.setattr(fitchmap.generalized, name, diagnostic)
+        monkeypatch.setattr(fitchmap.simple_fitch, "evaluate", diagnostic)
+        # the package re-exports evaluate(), which hides the module's name
+        evaluate_module = importlib.import_module("fitchmap.evaluate")
+        evaluated = []
+        real_evaluate = evaluate_module.evaluate
+
+        def counting_evaluate(tree):
+            evaluated.append(tree)
+            return real_evaluate(tree)
+
+        monkeypatch.setattr(evaluate_module, "evaluate", counting_evaluate)
+        for m, tree in zip(maps, expected):
+            evaluated.clear()
+            assert recognize(m).tree == tree
+            # the whole tree is evaluated exactly once, by the certificate
+            assert evaluated == [tree]
+
+    def test_failure_witnesses_match_check_conditions(self):
+        rng = random.Random(311)
+        dead_ends = uncertified = 0
+        for seed in range(80):
+            _, fm = random_tree_like_instance(seed, 3 + seed % 14, 3)
+            entries = dict(fm.pairs())
+            pair = sorted(entries)[rng.randrange(len(entries))]
+            others = [lab for lab in (NO_EVENT, *fm.alphabet) if lab != entries[pair]]
+            entries[pair] = others[rng.randrange(len(others))]
+            m = make_fitch_map(fm.leaves, entries)
+            classes = compute_classes(m)
+            if isinstance(classes, T1Violation):
+                continue
+            assert recognize(m).reason == check_conditions(m, classes)
+            try:
+                if not explains(assemble(m, classes), m):
+                    uncertified += 1
+            except NotFitch:
+                dead_ends += 1
+        # both ways into the diagnostics are exercised
+        assert dead_ends and uncertified
