@@ -8,6 +8,8 @@ slice writes over the canonical leaf order.
 
 from __future__ import annotations
 
+from operator import eq, itemgetter
+
 from .core import (
     NO_EVENT,
     FitchMap,
@@ -25,21 +27,29 @@ def evaluate(tree: LabeledTree) -> FitchMap:
     Raises LabelConflict (with a witness pair) when some such path carries
     two distinct symbols, i.e. when the tree explains no map at all.
     """
+    alphabet = tree.event_symbols()
+    rows = [list(r) for r in zip(*_columns(tree, alphabet, range(tree.n_leaves)))]
+    # every edge lies on some lca-path, so a successful evaluation
+    # witnesses every symbol and the alphabet needs no re-normalization
+    return FitchMap(tree.leaf_names, alphabet, rows)
+
+
+def _columns(tree: LabeledTree, alphabet, positions):
+    """Yield column y of the map, over x in canonical order, for each given
+    canonical position of y; code i >= 1 is alphabet[i-1], -1 the diagonal."""
     if tree.n_leaves < 2:
         raise NonPhylogenetic("evaluation needs a tree with at least 2 leaves")
 
-    alphabet = tree.event_symbols()
     code = {s: i + 1 for i, s in enumerate(alphabet)}
     names = tree.leaf_names
     n = len(names)
     span = tree.span
 
-    cols: list[list[int]] = []
-    for j, y in enumerate(tree.leaf_vertices):
+    for j in positions:
         col = [0] * n
         col[j] = -1
         status = 0
-        v = y
+        v = tree.leaf_vertices[j]
         while v != 0:
             p = tree.parent(v)
             lab = tree.label(v)
@@ -64,12 +74,7 @@ def evaluate(tree: LabeledTree) -> FitchMap:
             if hi_v < hi_p:
                 col[hi_v:hi_p] = [status] * (hi_p - hi_v)
             v = p
-        cols.append(col)
-
-    rows = [list(r) for r in zip(*cols)]
-    # every edge lies on some lca-path, so a successful evaluation
-    # witnesses every symbol and the alphabet needs no re-normalization
-    return FitchMap(names, alphabet, rows)
+        yield col
 
 
 def label_consistent(tree: LabeledTree) -> bool:
@@ -96,13 +101,15 @@ def explains(tree: LabeledTree, fmap: FitchMap) -> bool:
     """True iff the tree evaluates without conflict to exactly this map."""
     if set(tree.leaf_names) != set(fmap.leaves):
         raise LeafSetMismatch("tree and map have different leaf sets")
+    # 64 columns at a time, coded by fmap's alphabet; a symbol fmap lacks is coded past it
+    alphabet = fmap.alphabet + tuple(sorted(set(tree.event_symbols()) - set(fmap.alphabet)))
+    order = [tree.span(tree.vertex_of(nm))[0] for nm in fmap.leaves]
+    rows = [fmap._rows[fmap._index[nm]] for nm in tree.leaf_names]
     try:
-        result = evaluate(tree)
+        for lo in range(0, len(order), 64):
+            block = zip(*_columns(tree, alphabet, order[lo:lo + 64]))
+            if not all(map(eq, map(list, block), map(itemgetter(slice(lo, lo + 64)), rows))):
+                return False
     except LabelConflict:
         return False
-    # result code -> fmap code, by symbol (-2: absent); trans[-1] maps the diagonal
-    code = {s: i for i, s in enumerate(fmap.alphabet, start=1)}
-    trans = [0] + [code.get(s, -2) for s in result.alphabet] + [-1]
-    perm = [result._index[nm] for nm in fmap.leaves]
-    rows = [result._rows[i] for i in perm]
-    return all([trans[row[j]] for j in perm] == want for row, want in zip(rows, fmap._rows))
+    return True

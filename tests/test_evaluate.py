@@ -156,3 +156,24 @@ class TestExplains:
         # code 1 is "2" and code 2 is "1" here, the reverse of evaluate's
         assert explains(tree, FitchMap(["a", "b"], ("2", "1"), [[-1, 1], [2, -1]]))
         assert not explains(tree, FitchMap(["a", "b"], ("2", "1"), [[-1, 2], [1, -1]]))
+
+    @pytest.mark.parametrize("n", [2, 63, 64, 65, 129])
+    def test_each_block_of_columns_is_compared(self, n):
+        # explains() compares 64 columns at a time; 65 and 129 leave a
+        # last block of one column
+        rng = random.Random(n)
+        tree, fm = random_tree_like_instance(n, n, 3)
+        entries = dict(fm.pairs())
+        order = list(fm.leaves)
+        rng.shuffle(order)
+        assert explains(tree, make_fitch_map(order, entries))
+        for y in (tree.leaf_names[0], tree.leaf_names[-1]):
+            x = rng.choice([nm for nm in fm.leaves if nm != y])
+            changed = dict(entries)
+            changed[(x, y)] = next(lab for lab in (NO_EVENT, "1", "2") if lab != entries[(x, y)])
+            assert not explains(tree, make_fitch_map(order, changed))
+
+    def test_symbol_missing_from_the_map(self):
+        tree = LabeledTree.build((("a", "1"), ("b", "2")))
+        assert not explains(tree, FitchMap(["a", "b"], ("1",), [[-1, 1], [1, -1]]))
+        assert not explains(tree, FitchMap(["a", "b"], ("2",), [[-1, 1], [1, -1]]))

@@ -289,6 +289,7 @@ class TestRecognizeNoOtimes:
 class TestSinglePipeline:
     def test_success_path_runs_no_diagnostics(self, monkeypatch):
         maps = [EXAMPLE_MAP] + [random_tree_like_instance(seed, 64, 4)[1] for seed in range(4)]
+        maps.append(random_tree_like_instance(4, 130, 4)[1])  # explains() takes three blocks
         expected = [recognize(m).tree for m in maps]
         assert expected[0] == EXAMPLE_TREE
 
@@ -300,19 +301,22 @@ class TestSinglePipeline:
         monkeypatch.setattr(fitchmap.simple_fitch, "evaluate", diagnostic)
         # the package re-exports evaluate(), which hides the module's name
         evaluate_module = importlib.import_module("fitchmap.evaluate")
-        evaluated = []
-        real_evaluate = evaluate_module.evaluate
+        walked = []
+        real_columns = evaluate_module._columns
 
-        def counting_evaluate(tree):
-            evaluated.append(tree)
-            return real_evaluate(tree)
+        # evaluate() and explains() both walk the tree through _columns(),
+        # one column per leaf position asked for
+        def counting_columns(tree, alphabet, positions):
+            positions = list(positions)
+            walked.extend((tree, j) for j in positions)
+            return real_columns(tree, alphabet, positions)
 
-        monkeypatch.setattr(evaluate_module, "evaluate", counting_evaluate)
+        monkeypatch.setattr(evaluate_module, "_columns", counting_columns)
         for m, tree in zip(maps, expected):
-            evaluated.clear()
+            walked.clear()
             assert recognize(m).tree == tree
             # the whole tree is evaluated exactly once, by the certificate
-            assert evaluated == [tree]
+            assert sorted(walked) == [(tree, j) for j in range(tree.n_leaves)]
 
     def test_failure_witnesses_match_check_conditions(self):
         rng = random.Random(311)
