@@ -264,7 +264,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except (FitchError, OSError) as e:
+    except (FitchError, OSError, UnicodeDecodeError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
 

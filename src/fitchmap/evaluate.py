@@ -28,7 +28,13 @@ def evaluate(tree: LabeledTree) -> FitchMap:
     two distinct symbols, i.e. when the tree explains no map at all.
     """
     alphabet = tree.event_symbols()
-    rows = [list(r) for r in zip(*_columns(tree, alphabet, range(tree.n_leaves)))]
+    n = tree.n_leaves
+    rows = [[-1] * n for _ in range(n)]
+    # 64 columns at a time, as explains() walks them, so no n x n column set is held
+    for lo in range(0, n, 64):
+        block = zip(*_columns(tree, alphabet, range(lo, min(lo + 64, n))))
+        for row, part in zip(rows, block):
+            row[lo:lo + 64] = part
     # every edge lies on some lca-path, so a successful evaluation
     # witnesses every symbol and the alphabet needs no re-normalization
     return FitchMap(tree.leaf_names, alphabet, rows)

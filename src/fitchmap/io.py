@@ -3,7 +3,7 @@
 Relation-matrix format (.fm): header line '#fitchmap v1', a tab-separated
 leaf-name line, then one tab-separated row per leaf; '.' marks the
 diagonal and '-' marks NO_EVENT.  LF line endings, trailing newline
-required.
+required.  The reader checks each distinct token once, in linear time.
 
 Labeled-Newick format (.lnw): node := leafName | "(" node ":" label
 ("," node ":" label)+ ")", terminated by ";"; each edge label follows its
@@ -26,8 +26,7 @@ from .core import (
     ReservedToken,
     TreeBuilder,
     check_token,
-    label_token,
-    make_fitch_map,
+    make_fitch_map,  # unused here; perfbench/spans.py wraps it, else --trace 1 hits AttributeError
 )
 
 _MAP_HEADER = "#fitchmap v1"
@@ -51,10 +50,6 @@ class ShapeError(ParseError):
 # relation-matrix format
 # ---------------------------------------------------------------------------
 
-def _cell_col(cells: list[str], idx: int) -> int:
-    return 1 + sum(len(c) + 1 for c in cells[:idx])
-
-
 def read_map(text: str) -> FitchMap:
     if not text.endswith("\n"):
         last = max(1, text.count("\n") + 1)
@@ -67,8 +62,8 @@ def read_map(text: str) -> FitchMap:
         raise ParseError(2, 1, "missing leaf-name line")
     names = lines[1].split("\t")
     seen = set()
-    for idx, nm in enumerate(names):
-        col = _cell_col(names, idx)
+    col = 1
+    for nm in names:
         if nm in ("-", "."):
             raise ReservedToken(
                 f"line 2, column {col}: leaf name {nm!r} is reserved"
@@ -80,6 +75,7 @@ def read_map(text: str) -> FitchMap:
         if nm in seen:
             raise ParseError(2, col, f"duplicate leaf name {nm!r}")
         seen.add(nm)
+        col += len(nm) + 1
     n = len(names)
     if n < 2:
         raise ShapeError(2, 1, f"need at least 2 leaves, found {n}")
@@ -89,41 +85,38 @@ def read_map(text: str) -> FitchMap:
             f"expected {n} matrix rows, found {len(lines) - 2}",
         )
 
-    entries: dict[tuple[str, str], Label] = {}
-    for i in range(n):
+    # pass one: the shape, the diagonal and each distinct token, checked once
+    known = {"-"}  # tokens that passed check_token, plus '-', which needs none
+    for i, line in enumerate(lines[2:]):
         lineno = i + 3
-        cells = lines[i + 2].split("\t")
+        cells = line.split("\t")
         if len(cells) != n:
             raise ShapeError(lineno, 1, f"expected {n} cells, found {len(cells)}")
+        col = 1
         for j, cell in enumerate(cells):
-            col = _cell_col(cells, j)
             if i == j:
                 if cell != ".":
                     raise ParseError(lineno, col, f"diagonal cell must be '.', found {cell!r}")
-                continue
-            if cell == ".":
+            elif cell == ".":
                 raise ParseError(lineno, col, "'.' is only allowed on the diagonal")
-            if cell == "-":
-                entries[(names[i], names[j])] = NO_EVENT
-                continue
-            try:
-                check_token(cell, "token")
-            except InvalidToken as e:
-                raise ParseError(lineno, col, str(e)) from None
-            entries[(names[i], names[j])] = cell
-    return make_fitch_map(names, entries)
+            elif cell not in known:
+                try:
+                    check_token(cell, "token")
+                except InvalidToken as e:
+                    raise ParseError(lineno, col, str(e)) from None
+                known.add(cell)
+            col += len(cell) + 1
+    # pass two: every token is known, so each row maps through one dict
+    alphabet = tuple(sorted(known - {"-"}))
+    code = {s: c for c, s in enumerate(alphabet, 1)} | {"-": 0, ".": -1}
+    rows = [[code[cell] for cell in line.split("\t")] for line in lines[2:]]
+    return FitchMap(names, alphabet, rows)
 
 
 def write_map(fmap: FitchMap) -> str:
-    out = [_MAP_HEADER, "\t".join(fmap.leaves)]
-    n = fmap.n
-    rows = fmap._rows
-    for i in range(n):
-        cells = [
-            "." if i == j else label_token(fmap.decode(rows[i][j])) for j in range(n)
-        ]
-        out.append("\t".join(cells))
-    return "\n".join(out) + "\n"
+    tokens = ("-", *fmap.alphabet, ".")  # code c is tokens[c]; the diagonal's -1 is '.'
+    rows = ("\t".join(map(tokens.__getitem__, row)) for row in fmap._rows)
+    return "\n".join([_MAP_HEADER, "\t".join(fmap.leaves), *rows]) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,17 @@ class TestRecognize:
         code, _, err = run(capsys, "recognize", "/nonexistent/x.fm")
         assert code == 2
 
+    def test_non_utf8_input_exit_two(self, tmp_path, capsys):
+        fm = tmp_path / "latin1.fm"
+        fm.write_bytes(b"#fitchmap v1\na\tb\n.\t\xff\n-\t.\n")
+        lnw = tmp_path / "latin1.lnw"
+        lnw.write_bytes(b"(a:-,b:\xff);\n")
+        for argv in (("recognize", str(fm)), ("evaluate", str(lnw))):
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert err.startswith("error:") and "utf-8" in err
+            assert out == ""
+
 
 class TestEvaluateCheck:
     def test_label_conflict_exit_one(self, tmp_path, capsys):

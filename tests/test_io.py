@@ -1,11 +1,17 @@
+import random
+
 import pytest
 
 from fitchmap.core import (
     NO_EVENT,
     DuplicateLeafName,
+    FitchError,
+    InvalidToken,
+    Label,
     LabeledTree,
     NonPhylogenetic,
     ReservedToken,
+    check_token,
     make_fitch_map,
 )
 from fitchmap.evaluate import evaluate
@@ -140,3 +146,104 @@ class TestMalformedInputs:
             read_tree("(a:-,\nb:1);\n")
         assert got.value.line == 1
         assert got.value.col == 6
+
+
+def reference_read_map(text: str):
+    """The earlier .fm reader, kept as the reference for the differential
+    test: it validates every cell, recomputes each cell's column from the
+    widths before it, and builds the map through make_fitch_map."""
+
+    def cell_col(cells, idx):
+        return 1 + sum(len(c) + 1 for c in cells[:idx])
+
+    if not text.endswith("\n"):
+        last = max(1, text.count("\n") + 1)
+        raise ParseError(last, max(1, len(text.rsplit("\n", 1)[-1]) + 1),
+                         "missing trailing newline")
+    lines = text.split("\n")[:-1]
+    if not lines or lines[0] != "#fitchmap v1":
+        raise ParseError(1, 1, "expected header '#fitchmap v1'")
+    if len(lines) < 2:
+        raise ParseError(2, 1, "missing leaf-name line")
+    names = lines[1].split("\t")
+    seen = set()
+    for idx, nm in enumerate(names):
+        col = cell_col(names, idx)
+        if nm in ("-", "."):
+            raise ReservedToken(f"line 2, column {col}: leaf name {nm!r} is reserved")
+        try:
+            check_token(nm, "token")
+        except InvalidToken as e:
+            raise ParseError(2, col, str(e)) from None
+        if nm in seen:
+            raise ParseError(2, col, f"duplicate leaf name {nm!r}")
+        seen.add(nm)
+    n = len(names)
+    if n < 2:
+        raise ShapeError(2, 1, f"need at least 2 leaves, found {n}")
+    if len(lines) != n + 2:
+        raise ShapeError(
+            min(len(lines), n + 2) + 1, 1, f"expected {n} matrix rows, found {len(lines) - 2}"
+        )
+    entries: dict[tuple[str, str], Label] = {}
+    for i in range(n):
+        lineno = i + 3
+        cells = lines[i + 2].split("\t")
+        if len(cells) != n:
+            raise ShapeError(lineno, 1, f"expected {n} cells, found {len(cells)}")
+        for j, cell in enumerate(cells):
+            col = cell_col(cells, j)
+            if i == j:
+                if cell != ".":
+                    raise ParseError(lineno, col, f"diagonal cell must be '.', found {cell!r}")
+                continue
+            if cell == ".":
+                raise ParseError(lineno, col, "'.' is only allowed on the diagonal")
+            if cell == "-":
+                entries[(names[i], names[j])] = NO_EVENT
+                continue
+            try:
+                check_token(cell, "token")
+            except InvalidToken as e:
+                raise ParseError(lineno, col, str(e)) from None
+            entries[(names[i], names[j])] = cell
+    return make_fitch_map(names, entries)
+
+
+def outcome(read, text):
+    """What a reader makes of the text: the map's leaves, alphabet tuple and
+    code rows, or the class and message of the error it raises."""
+    try:
+        m = read(text)
+    except FitchError as e:
+        return type(e), str(e)
+    return m.leaves, m.alphabet, m._rows
+
+
+class TestReaderAgainstReference:
+    def test_fuzzed_maps_match_reference(self):
+        rng = random.Random(2718)
+        glyphs = ["-", ".", "1", "x(y", "", "a b", ":"]
+        malformed = 0
+        for _ in range(10_000):
+            m = random_map(rng, rng.randrange(2, 7), rng.randrange(0, 4))
+            lines = [line.split("\t") for line in write_map(m).split("\n")[1:-1]]
+            for _ in range(rng.randrange(4)):
+                cells = lines[rng.randrange(len(lines))]
+                cells[rng.randrange(len(cells))] = rng.choice(glyphs)
+            for cells in lines:
+                if rng.random() < 0.05:
+                    cells.append(rng.choice(glyphs))
+            text = "".join(
+                line + "\n" for line in ["#fitchmap v1", *map("\t".join, lines)]
+            )
+            expected = outcome(reference_read_map, text)
+            assert outcome(read_map, text) == expected, text
+            malformed += isinstance(expected[0], type)
+        # both sides of the reader are exercised
+        assert 2_000 < malformed < 9_000
+
+    def test_alphabet_is_sorted(self):
+        m = read_map("#fitchmap v1\na\tb\tc\n.\tz\t10\n9\t.\tz\n-\t10\t.\n")
+        assert m.alphabet == ("10", "9", "z")
+        assert m._rows == [[-1, 3, 1], [2, -1, 3], [0, 1, -1]]

@@ -1,9 +1,11 @@
 """Hostile-shape and fuzzing checks that sit outside the acceptance
-criteria: deep chains past the interpreter recursion limit, and parser
-behavior on corrupted inputs."""
+criteria: deep chains past the interpreter recursion limit, parser
+behavior on corrupted inputs, and the cost of .fm reading and writing."""
 
 import random
+import statistics
 import sys
+import time
 
 from fitchmap.core import NO_EVENT, FitchError, LabeledTree
 from fitchmap.evaluate import evaluate
@@ -152,3 +154,48 @@ class TestParserFuzz:
                 read_tree(text)
             except FitchError:
                 pass
+
+
+def _io_medians(texts: dict, repeats: int):
+    """Median read_map and write_map seconds per size, sizes interleaved so
+    that drift of the host hits every size alike."""
+    reads = {n: [] for n in texts}
+    writes = {n: [] for n in texts}
+    for _ in range(repeats):
+        for n, text in texts.items():
+            t0 = time.perf_counter()
+            fmap = read_map(text)
+            t1 = time.perf_counter()
+            out = write_map(fmap)
+            writes[n].append(time.perf_counter() - t1)
+            reads[n].append(t1 - t0)
+            assert out == text
+    return (
+        {n: statistics.median(ts) for n, ts in reads.items()},
+        {n: statistics.median(ts) for n, ts in writes.items()},
+    )
+
+
+def _distinct_symbol_map(n: int) -> str:
+    # fixed-width tokens, so doubling n exactly quadruples the input
+    names = "\t".join(f"v{i:03d}" for i in range(n))
+    rows = ["\t".join("." if i == j else f"s{i:03d}_{j:03d}" for j in range(n)) for i in range(n)]
+    return "".join(line + "\n" for line in ["#fitchmap v1", names, *rows])
+
+
+class TestMapIOCost:
+    def test_tree_like_map_io_is_quadratic(self):
+        """Doubling n at most quintuples the median read and write time
+        (|M| = 8, 5 repeats), and reading n=1024 takes under 5 s."""
+        texts = {n: write_map(random_tree_like_instance(60_000, n, 8)[1]) for n in (512, 1024)}
+        reads, writes = _io_medians(texts, 5)
+        assert reads[1024] < 5.0
+        assert reads[1024] / reads[512] <= 5.0
+        assert writes[1024] / writes[512] <= 5.0
+
+    def test_distinct_symbol_map_io_is_quadratic(self):
+        """A map whose every off-diagonal cell is its own symbol: n^2 tokens
+        to check and an alphabet of n^2 - n symbols to sort."""
+        reads, writes = _io_medians({n: _distinct_symbol_map(n) for n in (128, 256)}, 7)
+        assert reads[256] / reads[128] <= 5.0
+        assert writes[256] / writes[128] <= 5.0
