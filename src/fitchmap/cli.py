@@ -189,7 +189,12 @@ def _cmd_bench(args) -> int:
         t0 = time.perf_counter()
         report = recognize(fmap)
         times.append(time.perf_counter() - t0)
-        assert report.tree_like
+        if not report.tree_like:
+            sys.stderr.write(
+                f"error: tree-like instance (seed {args.seed + r}) reported not tree-like: "
+                f"{report.reason.describe()}\n"
+            )
+            return 1
     sys.stdout.write(f"{args.leaves}\t{statistics.median(times):.6f}\n")
     return 0
 

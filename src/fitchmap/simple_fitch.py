@@ -3,15 +3,18 @@ construction of their unique least-resolved {symbol, NO_EVENT}-labeled trees.
 
 Two independent recognizers are provided.  The constructive one builds the
 least-resolved tree by a recursive source/component decomposition and
-certifies its own output by re-evaluation; the triad scanner checks all
-3-subsets against a machine-derived table of forbidden 3-vertex digraphs.
-Their equivalence is established exhaustively in the test suite.
+certifies its own output by re-evaluation; the triad scanner looks for a
+3-subset inducing one of the forbidden 3-vertex digraphs of a
+machine-derived table.  It walks vertex pairs over bitmask rows, one
+bitmask expression per pair covering every third vertex, and returns the
+first forbidden triad in index order.  The two recognizers' equivalence
+is established exhaustively in the test suite.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 from typing import Iterable, Optional
 
 from .core import (
@@ -194,31 +197,61 @@ def derive_forbidden_table() -> ForbiddenTriadTable:
     return ForbiddenTriadTable(forbidden)
 
 
+@lru_cache(maxsize=1)
+def _pair_kernel() -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The forbidden table regrouped for a scan over vertex pairs i < j.
+
+    How a vertex v meets a third vertex k is its quad q = (v->k) | (k->v) << 1.
+    Entry [ab][qj] lists the quads qi of i that make (i, j, k) forbidden,
+    where ab = (i->j) | (j->i) << 1 and qj is the quad of j.
+    """
+    forbids = derive_forbidden_table()._is_forbidden
+
+    def forbidden(ab: int, qi: int, qj: int) -> bool:
+        # triad vertices 0, 1, 2 are i, j, k
+        bits = {
+            (0, 1): ab & 1, (1, 0): ab >> 1,
+            (0, 2): qi & 1, (2, 0): qi >> 1,
+            (1, 2): qj & 1, (2, 1): qj >> 1,
+        }
+        return forbids[_triad_mask(p for p, bit in bits.items() if bit)]
+
+    return tuple(
+        tuple(tuple(qi for qi in range(4) if forbidden(ab, qi, qj)) for qj in range(4))
+        for ab in range(4)
+    )
+
+
 def find_forbidden_triad(g: Digraph) -> Optional[tuple[str, str, str]]:
-    """First 3-subset (by vertex order) inducing a forbidden digraph."""
-    table = derive_forbidden_table()
-    out = g._out
-    forbids = table._is_forbidden
-    for i, j, k in combinations(range(g.n), 3):
-        oi, oj, ok = out[i], out[j], out[k]
-        mask = (
-            (oi >> j & 1)
-            | (oi >> k & 1) << 1
-            | (oj >> i & 1) << 2
-            | (oj >> k & 1) << 3
-            | (ok >> i & 1) << 4
-            | (ok >> j & 1) << 5
-        )
-        if forbids[mask]:
-            vs = g.vertices
-            return (vs[i], vs[j], vs[k])
+    """First 3-subset (by vertex order) inducing a forbidden digraph.
+
+    The scan walks vertex pairs i < j, not triples.  Each vertex's arc rows
+    are split into its four quad masks, one bit per third vertex k, and one
+    bitmask expression per pair yields every k > j that completes a
+    forbidden triad; the lowest such k is the first in index order.
+    """
+    kernel = _pair_kernel()
+    n = g.n
+    full = (1 << n) - 1
+    out, in_ = g._out, g._in
+    quads = [(full & ~(ov | iv), ov & ~iv, iv & ~ov, ov & iv) for ov, iv in zip(out, in_)]
+    for i in range(n - 2):
+        own = quads[i]
+        # a vertex's quads are disjoint, so their sum is their union
+        table = [[sum(own[qi] for qi in qis) for qis in row] for row in kernel]
+        oi, ii = out[i], in_[i]
+        for j in range(i + 1, n - 1):
+            p = table[(oi >> j & 1) | (ii >> j & 1) << 1]
+            q = quads[j]
+            hits = (p[0] & q[0] | p[1] & q[1] | p[2] & q[2] | p[3] & q[3]) >> (j + 1)
+            if hits:
+                vs = g.vertices
+                return (vs[i], vs[j], vs[j + (hits & -hits).bit_length()])
     return None
 
 
 def is_simple_fitch(g: Digraph) -> bool:
     """Triad-scan recognizer; digraphs with at most 2 vertices always pass."""
-    if g.n <= 2:
-        return True
     return find_forbidden_triad(g) is None
 
 

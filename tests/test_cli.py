@@ -1,6 +1,8 @@
 import json
 
+from fitchmap import cli
 from fitchmap.cli import main
+from fitchmap.generalized import RecognitionReport, T2Violation
 from fitchmap.io import read_map, read_tree
 
 T1_VIOLATING = "#fitchmap v1\na\tb\tc\n.\t-\t1\n-\t.\t2\n-\t-\t.\n"
@@ -186,6 +188,18 @@ class TestGenRandomAndOracle:
         n, seconds = out.strip().split("\t")
         assert n == "16"
         float(seconds)
+
+    def test_bench_wrong_verdict_exits_one(self, capsys, monkeypatch):
+        # an explicit check, not an assert, so python -O keeps it
+        wrong = RecognitionReport(None, T2Violation(symbol="1", triad=("a", "b", "c")))
+        monkeypatch.setattr(cli, "recognize", lambda fmap: wrong)
+        code, out, err = run(
+            capsys, "bench", "--leaves", "16", "--symbols", "2",
+            "--seed", "1", "--repeat", "3",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: tree-like instance (seed 1) reported not tree-like")
 
 
 class TestGlobalFlags:

@@ -1,18 +1,19 @@
 """Hostile-shape and fuzzing checks that sit outside the acceptance
 criteria: deep chains past the interpreter recursion limit, parser
-behavior on corrupted inputs, and the cost of .fm reading and writing."""
+behavior on corrupted inputs, the cost of .fm reading and writing, and
+the cost of a negative verdict."""
 
 import random
 import statistics
 import sys
 import time
 
-from fitchmap.core import NO_EVENT, FitchError, LabeledTree
+from fitchmap.core import NO_EVENT, FitchError, FitchMap, LabeledTree
 from fitchmap.evaluate import evaluate
 from fitchmap.generalized import recognize
 from fitchmap.io import read_map, read_tree, write_map, write_tree
 from fitchmap.oracle import random_tree_like_instance
-from fitchmap.simple_fitch import Digraph, least_resolved_simple
+from fitchmap.simple_fitch import Digraph, derive_forbidden_table, least_resolved_simple
 from fitchmap.triples import aho_build
 from fitchmap.treeops import triples_of
 
@@ -199,3 +200,76 @@ class TestMapIOCost:
         reads, writes = _io_medians({n: _distinct_symbol_map(n) for n in (128, 256)}, 7)
         assert reads[256] / reads[128] <= 5.0
         assert writes[256] / writes[128] <= 5.0
+
+
+LATE = 16
+
+
+def _late_flip_t2_map(seed: int, n: int):
+    """A single-symbol map with one in-class arc flipped between two of the
+    last eight class members, and the triad the index-order scan of the
+    class digraph must name; None when a forbidden triad the flip creates
+    lies outside the last LATE members.
+
+    The tree hangs a random single-symbol subtree on k = n - n/16 leaves
+    below one symbol edge and the other leaves below the root, so the class
+    is exactly the subtree's leaves, first in leaf order.  Only triads
+    through both flipped leaves change, so a loop over the third vertex
+    finds every forbidden one; the first triad in index order is the
+    smallest sorted index triple among them.
+    """
+    rng = random.Random(seed)
+    k = n - n // 16
+    _, sub = random_tree_like_instance(seed, k, 1)
+    rows = [row + [0] * (n - k) for row in sub._rows]
+    rows += [[1] * k + [-1 if x == y else 0 for y in range(k, n)] for x in range(k, n)]
+    x, y = rng.sample(range(k - 8, k), 2)
+    rows[x][y] = 1 - rows[x][y]
+    forbids = derive_forbidden_table()._is_forbidden
+
+    def arc(a, b):
+        return int(rows[a][b] > 0)
+
+    bad = []
+    for z in range(k):
+        if z in (x, y):
+            continue
+        a, b, c = sorted((x, y, z))
+        # bit order of the table's slots: ab, ac, ba, bc, ca, cb
+        code = (arc(a, b) | arc(a, c) << 1 | arc(b, a) << 2
+                | arc(b, c) << 3 | arc(c, a) << 4 | arc(c, b) << 5)
+        if forbids[code]:
+            bad.append((a, b, c))
+    if not bad or min(min(t) for t in bad) < k - LATE:
+        return None
+    leaves = sub.leaves + tuple(f"Z{i:04d}" for i in range(n - k))
+    return FitchMap(leaves, ("1",), rows), tuple(leaves[v] for v in min(bad))
+
+
+class TestNegativeVerdictCost:
+    def test_late_t2_witness_is_quadratic(self):
+        """Late-flip T2 maps: doubling n at most quintuples the median
+        recognize() time (5 maps per size, each map's best of 3 runs, sizes
+        interleaved), n=1024 stays under 5 s, and the witness is the first
+        forbidden triad."""
+        maps = {n: [] for n in (512, 1024)}
+        seed = 70_000
+        for n, found in maps.items():
+            while len(found) < 5:
+                planted = _late_flip_t2_map(seed, n)
+                seed += 1
+                if planted is not None:
+                    found.append(planted)
+        best = {n: [float("inf")] * 5 for n in maps}
+        for _ in range(3):
+            for r in range(5):
+                for n in maps:
+                    fmap, triad = maps[n][r]
+                    t0 = time.perf_counter()
+                    report = recognize(fmap)
+                    best[n][r] = min(best[n][r], time.perf_counter() - t0)
+                    assert not report.tree_like
+                    assert report.reason.kind == "T2" and report.reason.triad == triad
+        medians = {n: statistics.median(ts) for n, ts in best.items()}
+        assert medians[1024] < 5.0
+        assert medians[1024] / medians[512] <= 5.0

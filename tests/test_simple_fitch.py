@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from fitchmap.core import NO_EVENT, LabeledTree
@@ -45,6 +48,41 @@ def random_digraph(names, rng):
     return Digraph(names, arcs)
 
 
+def reference_find_forbidden_triad(g: Digraph):
+    """The plain scan over all 3-subsets in index order that the pair scan
+    replaced; the pair scan must return exactly its triad, or None."""
+    table = derive_forbidden_table()
+    out = g._out
+    forbids = table._is_forbidden
+    for i, j, k in combinations(range(g.n), 3):
+        oi, oj, ok = out[i], out[j], out[k]
+        mask = (
+            (oi >> j & 1)
+            | (oi >> k & 1) << 1
+            | (oj >> i & 1) << 2
+            | (oj >> k & 1) << 3
+            | (ok >> i & 1) << 4
+            | (ok >> j & 1) << 5
+        )
+        if forbids[mask]:
+            vs = g.vertices
+            return (vs[i], vs[j], vs[k])
+    return None
+
+
+def shuffled_tree_digraph(seed: int, n: int, rng) -> Digraph:
+    """The digraph of a random single-symbol tree-like map, vertices in
+    shuffled order."""
+    tree, fm = random_tree_like_instance(seed, n, 1)
+    names = list(tree.leaf_names)
+    rng.shuffle(names)
+    return Digraph(names, fm.event_arcs())
+
+
+def with_arc_flipped(g: Digraph, x: str, y: str) -> Digraph:
+    return Digraph(g.vertices, g.arcs ^ {(x, y)})
+
+
 class TestForbiddenTable:
     def test_exactly_eight_classes(self):
         assert len(derive_forbidden_table()) == 8
@@ -59,6 +97,60 @@ class TestForbiddenTable:
         arcs = evaluate(star).event_arcs()
         assert arcs == frozenset((x, y) for x in "abc" for y in "abc" if x != y)
         assert find_forbidden_triad(Digraph(["a", "b", "c"], arcs)) is None
+
+
+class TestPairScanMatchesReference:
+    """find_forbidden_triad walks vertex pairs over bitmask rows; it must
+    name the same triad as the index-order scan over all 3-subsets."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_all_small_digraphs(self, n):
+        for g in all_digraphs([f"v{i}" for i in range(n)]):
+            assert find_forbidden_triad(g) == reference_find_forbidden_triad(g)
+
+    def test_random_digraphs(self):
+        rng = random.Random(404)
+        found = 0
+        for _ in range(2000):
+            n = rng.randrange(71)
+            names = [f"v{i}" for i in range(n)]
+            # densities near 0 and 1 give digraphs with few or no forbidden triads
+            p = rng.random() ** 4
+            if rng.random() < 0.5:
+                p = 1 - p
+            g = Digraph(names, [(x, y) for x in names for y in names if x != y and rng.random() < p])
+            expected = reference_find_forbidden_triad(g)
+            assert find_forbidden_triad(g) == expected
+            found += expected is not None
+        assert 1000 < found < 1900
+
+    def test_shuffled_tree_like_digraphs(self):
+        rng = random.Random(405)
+        flipped_hits = 0
+        for seed in range(60):
+            g = shuffled_tree_digraph(seed, rng.randrange(3, 41), rng)
+            assert find_forbidden_triad(g) is None
+            assert reference_find_forbidden_triad(g) is None
+            x, y = rng.sample(g.vertices, 2)
+            h = with_arc_flipped(g, x, y)
+            expected = reference_find_forbidden_triad(h)
+            assert find_forbidden_triad(h) == expected
+            flipped_hits += expected is not None
+        assert flipped_hits >= 20
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 129])
+    def test_only_triads_through_the_last_vertex(self, n):
+        rng = random.Random(n)
+        g = shuffled_tree_digraph(1000 + n, n, rng)
+        last = g.vertices[-1]
+        while True:
+            h = with_arc_flipped(g, rng.choice(g.vertices[:-1]), last)
+            expected = reference_find_forbidden_triad(h)
+            if expected is not None:
+                break
+        assert reference_find_forbidden_triad(h.induced(h.vertices[:-1])) is None
+        assert expected[-1] == last
+        assert find_forbidden_triad(h) == expected
 
 
 class TestIsSimpleFitch:
