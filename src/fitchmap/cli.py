@@ -199,6 +199,12 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fitchmap",
@@ -246,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--symbols", type=int, required=True)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--exhaustive", action="store_true")
-    mode.add_argument("--samples", type=int, default=100)
+    mode.add_argument("--samples", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_oracle_verify)
 
@@ -254,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--leaves", type=int, required=True)
     p.add_argument("--symbols", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--repeat", type=int, default=20)
+    p.add_argument("--repeat", type=_positive_int, default=20)
     p.set_defaults(func=_cmd_bench)
 
     return parser

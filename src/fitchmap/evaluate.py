@@ -8,7 +8,7 @@ slice writes over the canonical leaf order.
 
 from __future__ import annotations
 
-from operator import eq, itemgetter
+from operator import eq
 
 from .core import (
     NO_EVENT,
@@ -30,7 +30,7 @@ def evaluate(tree: LabeledTree) -> FitchMap:
     alphabet = tree.event_symbols()
     n = tree.n_leaves
     rows = [[-1] * n for _ in range(n)]
-    # 64 columns at a time, as explains() walks them, so no n x n column set is held
+    # 64 columns at a time, so no n x n column set is held beside the rows
     for lo in range(0, n, 64):
         block = zip(*_columns(tree, alphabet, range(lo, min(lo + 64, n))))
         for row, part in zip(rows, block):
@@ -104,18 +104,15 @@ def label_consistent(tree: LabeledTree) -> bool:
 
 
 def explains(tree: LabeledTree, fmap: FitchMap) -> bool:
-    """True iff the tree evaluates without conflict to exactly this map."""
+    """True iff the tree evaluates without conflict to exactly this map; each leaf is
+    walked once and its whole column compared with the map's, no n x n matrix built."""
     if set(tree.leaf_names) != set(fmap.leaves):
         raise LeafSetMismatch("tree and map have different leaf sets")
-    # 64 columns at a time, coded by fmap's alphabet; a symbol fmap lacks is coded past it
+    # coded by fmap's alphabet; a symbol fmap lacks is coded past it
     alphabet = fmap.alphabet + tuple(sorted(set(tree.event_symbols()) - set(fmap.alphabet)))
     order = [tree.span(tree.vertex_of(nm))[0] for nm in fmap.leaves]
     rows = [fmap._rows[fmap._index[nm]] for nm in tree.leaf_names]
     try:
-        for lo in range(0, len(order), 64):
-            block = zip(*_columns(tree, alphabet, order[lo:lo + 64]))
-            if not all(map(eq, map(list, block), map(itemgetter(slice(lo, lo + 64)), rows))):
-                return False
+        return all(map(eq, _columns(tree, alphabet, order), map(list, zip(*rows))))
     except LabelConflict:
         return False
-    return True

@@ -179,19 +179,7 @@ def _class_codes(fmap: FitchMap, classes: QuasiPartition) -> list[int]:
 
 
 def _class_digraph(fmap: FitchMap, member_idx: list[int]) -> Digraph:
-    # bitmask rows are built from binary strings: int(s, 2) is linear,
-    # unlike accumulating k single-bit shifts per row
-    rows = fmap._rows
-    vs = tuple(fmap.leaves[i] for i in member_idx)
-    rev = list(reversed(member_idx))
-    out = []
-    for gi in member_idx:
-        row = rows[gi]
-        out.append(int("".join("1" if row[gj] > 0 and gj != gi else "0" for gj in rev), 2))
-    in_ = []
-    for gj in member_idx:
-        in_.append(int("".join("1" if rows[gi][gj] > 0 and gi != gj else "0" for gi in rev), 2))
-    return Digraph._from_masks(vs, out, in_)
+    return Digraph._from_code_rows(fmap.leaves, fmap._rows, member_idx)
 
 
 def _check_t3(fmap: FitchMap, codes: list[int]) -> Optional[T3Violation]:

@@ -1,9 +1,9 @@
 """Brute-force ground truth at desk scale.
 
 Exhaustive enumeration of tree topologies and consistent labelings,
-per-map explainer search, a seeded random instance generator, and a bulk
-forward enumeration of every tree-like map on a tiny leaf set.  All of it
-is independent of the recognition pipeline so it can certify it.
+per-map explainer search, a seeded random instance generator, a bulk
+forward enumeration of every tree-like map on a tiny leaf set, and a
+witness checker.  All of it is independent of the recognition pipeline.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .core import (
     TooFewLeaves,
 )
 from .evaluate import evaluate
+from .simple_fitch import _TRIAD_PAIRS, _triad_mask, derive_forbidden_table
 
 
 class TooManyLeaves(FitchError):
@@ -332,3 +333,51 @@ def random_tree_like_instance(
 
     tree = LabeledTree(parents, labels, vertex_name)
     return tree, evaluate(tree)
+
+
+# ---------------------------------------------------------------------------
+# witnesses of negative verdicts
+# ---------------------------------------------------------------------------
+
+def witness_holds(fmap: FitchMap, violation) -> bool:
+    """True iff a "not tree-like" witness holds on the map entries alone,
+    with no recognizer code; a leaf "takes" m when its column shows {m}.
+
+    alphabet-too-large: more than 2n - 2 symbols.  T1: the leaf's column
+    shows exactly the listed symbols, at least two.  T2: the triad's leaves
+    take the symbol and their 3-leaf digraph is in derive_forbidden_table().
+    T3: x takes m, y does not, and entry (y, x) is found, which is not m.
+    T4: x shows no symbol and entry (y, x) is the symbol found, which no
+    map satisfies: check_conditions() names T4 only for forged classes.
+    """
+    index = fmap._index
+
+    def shown(x: str) -> set:
+        return {fmap.label(y, x) for y in fmap.leaves if y != x} - {NO_EVENT}
+
+    def entry(y: str, x: str) -> Optional[Label]:
+        return fmap.label(y, x) if x != y and x in index and y in index else None
+
+    kind = violation.kind
+    if kind == "alphabet-too-large":
+        return violation.size == len(fmap.alphabet) > violation.limit == 2 * fmap.n - 2
+    if kind == "T1":
+        symbols = violation.symbols
+        return violation.leaf in index and len(symbols) >= 2 and sorted(symbols) == sorted(shown(violation.leaf))
+    if kind == "T2":
+        triad = violation.triad
+        if triad is None or len(set(triad)) != 3 or not all(x in index for x in triad):
+            return False
+        if any(shown(x) != {violation.symbol} for x in triad):
+            return False
+        arcs = (p for p in _TRIAD_PAIRS if entry(triad[p[0]], triad[p[1]]) is not NO_EVENT)
+        return derive_forbidden_table()._is_forbidden[_triad_mask(arcs)]
+    if kind == "T3":
+        x, y, m = violation.x, violation.y, violation.expected
+        found = entry(y, x)
+        return found is not None and shown(x) == {m} != shown(y) and found == violation.found != m
+    if kind == "T4":
+        x, y = violation.x, violation.y
+        found = entry(y, x)
+        return found is not None and not shown(x) and found == violation.found in fmap.alphabet
+    raise ValueError(f"unknown witness kind {kind!r}")

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations, product
-from typing import Iterable, Optional
+from operator import itemgetter
+from typing import Iterable, Optional, Sequence
 
 from .core import (
     NO_EVENT,
@@ -74,6 +75,20 @@ class Digraph:
         object.__setattr__(g, "_out", out)
         object.__setattr__(g, "_in", in_)
         return g
+
+    @classmethod
+    def _from_code_rows(cls, names: Sequence[str], rows: list[list[int]], idx: list[int]) -> "Digraph":
+        """Digraph on names[i], i in idx (at least two), with arc a->b where
+        rows[idx[a]][idx[b]] > 0; rows holds -1 on its diagonal.  The submatrix, axes
+        reversed, is one "0"/"1" byte string read by int(..., 2) per row and column."""
+        vs = tuple(map(names.__getitem__, idx))
+        k = len(idx)
+        pick = itemgetter(*reversed(idx))
+        mat = b"".join([bytes(map((0).__lt__, pick(rows[i]))) for i in reversed(idx)])
+        mat = mat.translate(bytes.maketrans(b"\x00\x01", b"01"))
+        out = [int(mat[r:r + k], 2) for r in range(k * k - k, -1, -k)]
+        in_ = [int(mat[c::k], 2) for c in range(k - 1, -1, -1)]
+        return cls._from_masks(vs, out, in_)
 
     @property
     def n(self) -> int:
@@ -330,17 +345,10 @@ def least_resolved_simple(g: Digraph, symbol: str = "1") -> LabeledTree:
         return LabeledTree.single_leaf(g.vertices[0])
 
     tree = _decompose(g, symbol)
-    # mandatory self-verification, at code level to avoid materializing
-    # the arc set as name pairs
     fm = evaluate(tree)
     perm = [fm._index[nm] for nm in g.vertices]
-    rev = list(reversed(perm))
-    rows = fm._rows
-    for a in range(g.n):
-        row = rows[perm[a]]
-        mask = int("".join("1" if row[j] > 0 else "0" for j in rev), 2)
-        if mask != g._out[a]:
-            raise NotFitch("constructed tree does not evaluate back to the digraph")
+    if Digraph._from_code_rows(fm.leaves, fm._rows, perm)._out != g._out:
+        raise NotFitch("constructed tree does not evaluate back to the digraph")
     return tree
 
 

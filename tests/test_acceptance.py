@@ -26,6 +26,7 @@ from fitchmap.oracle import (
     brute_force_tree_like,
     enumerate_consistent_labelings,
     random_tree_like_instance,
+    witness_holds,
 )
 from fitchmap.simple_fitch import (
     Digraph,
@@ -89,9 +90,12 @@ def test_criterion_1_characterization_equivalence():
     checked = 0
     for codes in product((0, 1, 2), repeat=12):
         fmap = _map_from_codes(codes)
-        verdict = recognize(fmap).tree_like
+        report = recognize(fmap)
+        verdict = report.tree_like
         if verdict != (codes in truth_codes):
             disagreements += 1
+        if not verdict:
+            assert witness_holds(fmap, report.reason)
         tree_like += verdict
         checked += 1
     assert checked == 3**12 == 531_441
@@ -266,6 +270,8 @@ def test_criterion_7_no_otimes_fast_path():
         if fast.tree_like:
             assert fast.tree.same_topology(full.tree)
             tree_like += 1
+        else:
+            assert witness_holds(fmap, full.reason)
         agree += 1
     elapsed = time.perf_counter() - t0
     assert agree == 500

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from fitchmap import cli
 from fitchmap.cli import main
 from fitchmap.generalized import RecognitionReport, T2Violation
@@ -188,6 +190,22 @@ class TestGenRandomAndOracle:
         n, seconds = out.strip().split("\t")
         assert n == "16"
         float(seconds)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bench", "--leaves", "16", "--symbols", "2", "--repeat", "0"),
+            ("bench", "--leaves", "16", "--symbols", "2", "--repeat", "-2"),
+            ("oracle-verify", "--leaves", "4", "--symbols", "2", "--samples", "0"),
+            ("oracle-verify", "--leaves", "4", "--symbols", "2", "--samples", "-1"),
+        ],
+    )
+    def test_count_below_one_exits_two(self, capsys, argv):
+        # no statistics over zero runs, and no success after checking nothing
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"error: argument {argv[-2]}: must be at least 1, got {argv[-1]}" in err
 
     def test_bench_wrong_verdict_exits_one(self, capsys, monkeypatch):
         # an explicit check, not an assert, so python -O keeps it

@@ -1,5 +1,6 @@
 import importlib
 import random
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -7,6 +8,7 @@ import fitchmap.generalized
 import fitchmap.simple_fitch
 from fitchmap.core import (
     NO_EVENT,
+    FitchMap,
     LabelConflict,
     LabeledTree,
     QuasiPartition,
@@ -27,8 +29,8 @@ from fitchmap.generalized import (
     recognize,
     recognize_no_otimes,
 )
-from fitchmap.oracle import random_tree_like_instance
-from fitchmap.simple_fitch import NotFitch
+from fitchmap.oracle import random_tree_like_instance, witness_holds
+from fitchmap.simple_fitch import Digraph, NotFitch
 
 EXAMPLE_TREE = LabeledTree.build(
     (((("a", NO_EVENT), ("b", "2")), "2"), ("c", NO_EVENT))
@@ -48,6 +50,89 @@ def column_constant_map(assignment):
         names,
         {(y, x): assignment[x] for x in names for y in names if x != y},
     )
+
+
+def reference_class_digraph(fmap, member_idx):
+    """The per-entry class digraph build that Digraph._from_code_rows
+    replaced; the kernel must give exactly its vertices and masks."""
+    rows = fmap._rows
+    vs = tuple(fmap.leaves[i] for i in member_idx)
+    rev = list(reversed(member_idx))
+    out = []
+    for gi in member_idx:
+        row = rows[gi]
+        out.append(int("".join("1" if row[gj] > 0 and gj != gi else "0" for gj in rev), 2))
+    in_ = []
+    for gj in member_idx:
+        in_.append(int("".join("1" if rows[gi][gj] > 0 and gi != gj else "0" for gi in rev), 2))
+    return Digraph._from_masks(vs, out, in_)
+
+
+def random_code_map(rng, n, n_symbols):
+    """Random code matrix over n leaves, every symbol code present."""
+    codes = list(range(1, n_symbols + 1))
+    p = rng.random()
+    rows = [
+        [-1 if i == j else (rng.choice(codes) if rng.random() < p else 0) for j in range(n)]
+        for i in range(n)
+    ]
+    # surjectivity: each code once on the first off-diagonal cells
+    cells = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for c, (i, j) in zip(codes, cells):
+        rows[i][j] = c
+    return FitchMap([f"L{i}" for i in range(n)], [f"s{c}" for c in codes], rows)
+
+
+class TestClassDigraphKernel:
+    """Digraph._from_code_rows, which builds every class digraph and the
+    self-check's digraph, against the per-entry build it replaced."""
+
+    @staticmethod
+    def assert_matches(fmap, member_idx):
+        got = Digraph._from_code_rows(fmap.leaves, fmap._rows, member_idx)
+        want = reference_class_digraph(fmap, member_idx)
+        assert (got.vertices, got._out, got._in) == (want.vertices, want._out, want._in)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_every_small_map_and_member_order(self, n):
+        # every map on n leaves over one symbol; every member subset in
+        # index order (as classes are) and the whole set in every order (as
+        # the self-check may ask)
+        names = [f"v{i}" for i in range(n)]
+        cells = [(i, j) for i in range(n) for j in range(n) if i != j]
+        orders = [list(c) for k in range(2, n) for c in combinations(range(n), k)]
+        orders += [list(p) for p in permutations(range(n))]
+        for bits in product((0, 1), repeat=len(cells)):
+            rows = [[-1] * n for _ in range(n)]
+            for (i, j), b in zip(cells, bits):
+                rows[i][j] = b
+            fmap = FitchMap(names, ("1",) if any(bits) else (), rows)
+            for idx in orders:
+                self.assert_matches(fmap, idx)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_interleaved_classes_around_word_sizes(self, seed):
+        rng = random.Random(seed)
+        sizes = (2, 63, 64, 65, 129)
+        owner = [c for c, size in enumerate(sizes) for _ in range(size)]
+        rng.shuffle(owner)
+        fmap = random_code_map(rng, len(owner), 6)
+        for c in range(len(sizes)):
+            member_idx = [i for i, o in enumerate(owner) if o == c]
+            self.assert_matches(fmap, member_idx)
+            rng.shuffle(member_idx)
+            self.assert_matches(fmap, member_idx)
+
+    def test_codes_past_one_byte(self):
+        rng = random.Random(7)
+        n = 150
+        fmap = random_code_map(rng, n, 2 * n - 2)
+        assert max(map(max, fmap._rows)) > 255
+        everyone = list(range(n))
+        self.assert_matches(fmap, everyone)
+        self.assert_matches(fmap, sorted(rng.sample(everyone, 70)))
+        rng.shuffle(everyone)
+        self.assert_matches(fmap, everyone)
 
 
 class TestComputeClasses:
@@ -289,7 +374,7 @@ class TestRecognizeNoOtimes:
 class TestSinglePipeline:
     def test_success_path_runs_no_diagnostics(self, monkeypatch):
         maps = [EXAMPLE_MAP] + [random_tree_like_instance(seed, 64, 4)[1] for seed in range(4)]
-        maps.append(random_tree_like_instance(4, 130, 4)[1])  # explains() takes three blocks
+        maps.append(random_tree_like_instance(4, 130, 4)[1])
         expected = [recognize(m).tree for m in maps]
         assert expected[0] == EXAMPLE_TREE
 
@@ -328,10 +413,13 @@ class TestSinglePipeline:
             others = [lab for lab in (NO_EVENT, *fm.alphabet) if lab != entries[pair]]
             entries[pair] = others[rng.randrange(len(others))]
             m = make_fitch_map(fm.leaves, entries)
+            report = recognize(m)
+            if not report.tree_like:
+                assert witness_holds(m, report.reason)
             classes = compute_classes(m)
             if isinstance(classes, T1Violation):
                 continue
-            assert recognize(m).reason == check_conditions(m, classes)
+            assert report.reason == check_conditions(m, classes)
             try:
                 if not explains(assemble(m, classes), m):
                     uncertified += 1

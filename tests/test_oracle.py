@@ -2,8 +2,17 @@ from itertools import product
 
 import pytest
 
-from fitchmap.core import NO_EVENT, LabeledTree, TooFewLeaves, make_fitch_map
+from fitchmap.core import NO_EVENT, LabeledTree, QuasiPartition, TooFewLeaves, make_fitch_map
 from fitchmap.evaluate import evaluate, label_consistent
+from fitchmap.generalized import (
+    AlphabetTooLarge,
+    T1Violation,
+    T2Violation,
+    T3Violation,
+    T4Violation,
+    check_conditions,
+    recognize,
+)
 from fitchmap.io import write_map, write_tree
 from fitchmap.oracle import (
     BudgetExceeded,
@@ -14,6 +23,7 @@ from fitchmap.oracle import (
     enumerate_consistent_labelings,
     enumerate_topologies,
     random_tree_like_instance,
+    witness_holds,
 )
 
 
@@ -163,3 +173,69 @@ class TestRandomInstances:
     def test_two_leaves(self):
         tree, fm = random_tree_like_instance(3, 2, 1)
         assert tree.n_leaves == 2 and fm.n == 2
+
+
+def _map(names, events):
+    """Map on the names with the given event entries, NO_EVENT elsewhere."""
+    entries = {(x, y): NO_EVENT for x in names for y in names if x != y}
+    entries.update(events)
+    return make_fitch_map(names, entries)
+
+
+# one map per refutable kind, with the witness recognize() names for it
+T1_MAP = _map("abc", {("a", "c"): "1", ("b", "c"): "2"})
+# class of m is {a, b, c}, whose only internal arc a->b is a forbidden triad
+T2_MAP = _map("abcd", {("a", "b"): "m", ("d", "a"): "m", ("d", "b"): "m", ("d", "c"): "m"})
+# x takes 1 from z only, and the arc from y (class 2) into x carries NO_EVENT
+T3_MAP = _map("xyz", {("z", "x"): "1", ("x", "y"): "2", ("z", "y"): "2"})
+TOO_LARGE_MAP = _map("abc", {(x, y): str(i) for i, (x, y) in enumerate(
+    [(x, y) for x in "abc" for y in "abc" if x != y], start=1)})
+
+
+class TestWitnessHolds:
+    def test_recognizer_witnesses_hold(self):
+        expected = [
+            (TOO_LARGE_MAP, AlphabetTooLarge(size=6, limit=4)),
+            (T1_MAP, T1Violation(leaf="c", symbols=("1", "2"))),
+            (T2_MAP, T2Violation(symbol="m", triad=("a", "b", "c"))),
+            (T3_MAP, T3Violation(x="x", y="y", expected="1", found=NO_EVENT)),
+        ]
+        for fmap, witness in expected:
+            assert recognize(fmap).reason == witness
+            assert witness_holds(fmap, witness)
+
+    def test_forged_witnesses_fail(self):
+        forged = [
+            (TOO_LARGE_MAP, AlphabetTooLarge(size=6, limit=6)),
+            (TOO_LARGE_MAP, AlphabetTooLarge(size=5, limit=4)),
+            (T1_MAP, AlphabetTooLarge(size=2, limit=1)),
+            (T1_MAP, T1Violation(leaf="b", symbols=("1", "2"))),
+            (T1_MAP, T1Violation(leaf="c", symbols=("1",))),
+            (T1_MAP, T1Violation(leaf="c", symbols=("1", "2", "3"))),
+            (T1_MAP, T1Violation(leaf="c", symbols=("1", "1"))),
+            (T1_MAP, T1Violation(leaf="q", symbols=("1", "2"))),
+            # d is outside the class of m
+            (T2_MAP, T2Violation(symbol="m", triad=("a", "b", "d"))),
+            (T2_MAP, T2Violation(symbol="m", triad=("a", "b", "b"))),
+            (T2_MAP, T2Violation(symbol="m", triad=None)),
+            (T2_MAP, T2Violation(symbol="n", triad=("a", "b", "c"))),
+            # all six arcs inside {a, b, c}: a realizable triad
+            (_map("abcd", {(x, y): "m" for x in "abcd" for y in "abc" if x != y}),
+             T2Violation(symbol="m", triad=("a", "b", "c"))),
+            (T3_MAP, T3Violation(x="x", y="z", expected="1", found="1")),
+            (T3_MAP, T3Violation(x="x", y="y", expected="1", found="2")),
+            (T3_MAP, T3Violation(x="y", y="x", expected="2", found=NO_EVENT)),
+            (T3_MAP, T3Violation(x="x", y="x", expected="1", found=NO_EVENT)),
+            (T3_MAP, T3Violation(x="x", y="w", expected="1", found=NO_EVENT)),
+        ]
+        for fmap, witness in forged:
+            assert not witness_holds(fmap, witness), witness
+
+    def test_t4_witness_from_forged_classes_fails(self):
+        # check_conditions() names T4 only for classes that disagree with
+        # the map; the entries show b takes 1, so the witness is not borne out
+        m = _map("ab", {("a", "b"): "1"})
+        witness = check_conditions(m, QuasiPartition({NO_EVENT: {"a", "b"}, "1": set()}))
+        assert witness == T4Violation(x="b", y="a", found="1")
+        assert not witness_holds(m, witness)
+        assert not witness_holds(m, T4Violation(x="a", y="b", found="1"))

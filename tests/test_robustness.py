@@ -12,7 +12,7 @@ from fitchmap.core import NO_EVENT, FitchError, FitchMap, LabeledTree
 from fitchmap.evaluate import evaluate
 from fitchmap.generalized import recognize
 from fitchmap.io import read_map, read_tree, write_map, write_tree
-from fitchmap.oracle import random_tree_like_instance
+from fitchmap.oracle import random_tree_like_instance, witness_holds
 from fitchmap.simple_fitch import Digraph, derive_forbidden_table, least_resolved_simple
 from fitchmap.triples import aho_build
 from fitchmap.treeops import triples_of
@@ -114,7 +114,11 @@ class TestFiveLeafOracleSweep:
                 tuple(None if i == j else labels[rng.randrange(3)] for j in range(5))
                 for i in range(5)
             )
-            assert recognize(map_from_enc(enc)).tree_like == (enc in truth)
+            fmap = map_from_enc(enc)
+            report = recognize(fmap)
+            assert report.tree_like == (enc in truth)
+            if not report.tree_like:
+                assert witness_holds(fmap, report.reason)
 
 
 def _mutate(text: str, rng: random.Random) -> str:

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+import fitchmap.simple_fitch
 from fitchmap.core import NO_EVENT, LabeledTree
 from fitchmap.evaluate import evaluate
 from fitchmap.oracle import (
@@ -203,6 +204,24 @@ class TestLeastResolvedSimple:
     def test_not_fitch_raises(self):
         with pytest.raises(NotFitch):
             least_resolved_simple(Digraph(["a", "b", "c"], [("a", "b")]))
+
+    def test_self_check_rejects_a_wrong_tree(self, monkeypatch):
+        # a decomposition that returns the right tree with one edge label
+        # flipped must be caught by re-evaluation
+        rng = random.Random(406)
+        decompose = fitchmap.simple_fitch._decompose
+        for seed in range(12):
+            g = shuffled_tree_digraph(seed, rng.randrange(3, 30), rng)
+            right = decompose(g, "1")
+            for v in range(1, right.n_vertices):
+                labels = [right.label(u) for u in range(right.n_vertices)]
+                labels[v] = NO_EVENT if labels[v] == "1" else "1"
+                wrong = right.with_labels(labels)
+                # the tree is least resolved, so every flip changes its digraph
+                assert evaluate(wrong).event_arcs() != g.arcs
+                monkeypatch.setattr(fitchmap.simple_fitch, "_decompose", lambda g, symbol: wrong)
+                with pytest.raises(NotFitch):
+                    least_resolved_simple(g)
 
 
 class TestIsLeastResolvedSimple:
