@@ -236,11 +236,11 @@ def check_conditions(fmap: FitchMap, classes: QuasiPartition) -> Optional[Violat
 def assemble(fmap: FitchMap, classes: QuasiPartition) -> LabeledTree:
     """Assemble the least-resolved tree for a map satisfying T1 to T4.
 
-    The tree is not verified: on other maps it may fail to explain the map,
-    or NotFitch is raised at a structural dead end.  When the whole leaf set
-    is one symbol class, the class tree already is the answer: hanging it
-    below an extra root edge would leave that root with a single child, and
-    contracting the edge lands back on the class tree itself.
+    NotFitch is raised exactly when a class digraph is not simple Fitch;
+    on a map that breaks T3 or T4 the tree fails to explain it.  When the
+    whole leaf set is one symbol class, the class tree already is the
+    answer: hanging it below an extra root edge would leave that root with
+    a single child, and contracting the edge lands back on the class tree.
     """
     codes = _class_codes(fmap, classes)
     no_event_idx = [i for i in range(fmap.n) if codes[i] == 0]

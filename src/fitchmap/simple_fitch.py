@@ -2,13 +2,15 @@
 construction of their unique least-resolved {symbol, NO_EVENT}-labeled trees.
 
 Two independent recognizers are provided.  The constructive one builds the
-least-resolved tree by a recursive source/component decomposition and
-certifies its own output by re-evaluation; the triad scanner looks for a
-3-subset inducing one of the forbidden 3-vertex digraphs of a
-machine-derived table.  It walks vertex pairs over bitmask rows, one
-bitmask expression per pair covering every third vertex, and returns the
-first forbidden triad in index order.  The two recognizers' equivalence
-is established exhaustively in the test suite.
+least-resolved tree in one pass over the complemented in-neighbourhoods
+C[y] = V minus in(y), which form a laminar family exactly on simple Fitch
+digraphs (Geiss et al., J. Math. Biol. 2018; Hellmuth and Seemann,
+J. Math. Biol. 2019), and certifies its output by re-evaluation.  The
+triad scanner looks for a 3-subset inducing one of the forbidden 3-vertex
+digraphs of a machine-derived table.  It walks vertex pairs over bitmask
+rows, one bitmask expression per pair covering every third vertex, and
+returns the first forbidden triad in index order.  The two recognizers'
+equivalence is established exhaustively in the test suite.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .core import (
     NO_EVENT,
     FitchError,
     LabeledTree,
-    TreeBuilder,
     check_token,
 )
 from .evaluate import evaluate
@@ -104,17 +105,15 @@ class Digraph:
         )
 
     def induced(self, names: Iterable[str]) -> "Digraph":
-        keep = [self._index[nm] for nm in names]
-        vs = tuple(self.vertices[i] for i in keep)
-        sub = Digraph(vs, ())
-        out = list(sub._out)
-        in_ = list(sub._in)
-        for a, gi in enumerate(keep):
-            row = self._out[gi]
-            for b, gj in enumerate(keep):
-                if a != b and row >> gj & 1:
-                    out[a] |= 1 << b
-                    in_[b] |= 1 << a
+        vs = tuple(names)
+        for nm in vs:
+            if nm not in self._index:
+                raise ValueError(f"vertex {nm!r} is not in the digraph")
+        if len(set(vs)) != len(vs):
+            raise ValueError("induced() got a repeated vertex")
+        keep = [self._index[nm] for nm in vs]
+        out = [sum(1 << b for b, j in enumerate(keep) if self._out[i] >> j & 1) for i in keep]
+        in_ = [sum(1 << a for a, i in enumerate(keep) if self._in[j] >> i & 1) for j in keep]
         return Digraph._from_masks(vs, out, in_)
 
     def __eq__(self, other):
@@ -270,73 +269,71 @@ def is_simple_fitch(g: Digraph) -> bool:
     return find_forbidden_triad(g) is None
 
 
-def _sim_components(g: Digraph, members: int) -> list[int]:
-    """Connected components (as bitmasks) of the relation x ~ y defined by
-    'not both arcs xy and yx present', restricted to the member set."""
-    both = [g._out[v] & g._in[v] for v in range(g.n)]
-    comps = []
-    remaining = members
-    while remaining:
-        low = remaining & -remaining
-        remaining ^= low
-        comp = low
-        frontier = low
-        while frontier:
-            vbit = frontier & -frontier
-            frontier ^= vbit
-            v = vbit.bit_length() - 1
-            moved = remaining & ~both[v]
-            if moved:
-                remaining &= both[v]
-                comp |= moved
-                frontier |= moved
-        comps.append(comp)
-    return comps
+def _names(vs: tuple[str, ...], mask: int) -> str:
+    return "{" + ", ".join(vs[v] for v in _bits(mask)) + "}"
 
 
 def _decompose(g: Digraph, symbol: str) -> LabeledTree:
-    """Unverified recursive decomposition of g (at least 2 vertices).
+    """The least-resolved tree of g (at least 2 vertices); NotFitch exactly
+    when g is not simple Fitch.
 
-    Vertices without incoming arcs become NO_EVENT leaf children of the
-    local root; the rest splits into components of the 'not doubly linked'
-    relation, each hung below a symbol edge (singletons as leaves, larger
-    components recursively).  A structural dead end raises NotFitch; on a
-    digraph that is not simple Fitch the tree may also just be wrong.
+    Vertex y's cluster is C[y] = V minus in(y).  g is simple Fitch exactly
+    when the distinct C[y] form a laminar family in which each C[y] is the
+    smallest member holding y.  The tree is then that hierarchy under V:
+    a symbol edge above each C[y] other than V, and each y a NO_EVENT leaf
+    below C[y], or the leaf itself when C[y] = {y}.  Clusters are taken in
+    ascending size.  Each adopts the earlier maximal clusters at its lowest
+    uncovered bits, which must lie inside it, and the bits left over must be
+    exactly its owners, the y with that C[y].
     """
-    builder = TreeBuilder()
     vs = g.vertices
-    stack: list[tuple[int, int, bool]] = [(builder.root(), (1 << g.n) - 1, True)]
-    while stack:
-        at, members, is_root = stack.pop()
-        sources = [v for v in _bits(members) if g._in[v] & members == 0]
-        if not is_root and not sources:
-            raise NotFitch(
-                "component {"
-                + ", ".join(vs[v] for v in _bits(members))
-                + "} has no vertex of in-degree 0"
-            )
-        zmask = 0
-        for v in sources:
-            zmask |= 1 << v
-        rest = members ^ zmask
-        comps = _sim_components(g, rest)
-        if is_root and not sources and len(comps) == 1 and rest.bit_count() >= 2:
-            raise NotFitch("all vertices are pairwise linked into one root component")
-        for v in sources:
-            builder.child(at, NO_EVENT, name=vs[v])
-        for comp in comps:
-            if comp & (comp - 1) == 0:
-                builder.child(at, symbol, name=vs[comp.bit_length() - 1])
+    full = (1 << g.n) - 1
+    owners = {full: 0}
+    for y, in_y in enumerate(g._in):
+        c = full ^ in_y
+        owners[c] = owners.get(c, 0) | 1 << y
+    parents: list[Optional[int]] = []
+    labels: list = []
+    names: dict[int, str] = {}
+    # earlier maximal clusters by their lowest bit, as (cluster, tree vertex)
+    tops: dict[int, tuple[int, int]] = {}
+    for c in sorted(owners, key=int.bit_count):
+        at = len(parents)
+        rest = loose = c
+        while rest:
+            low = rest & -rest
+            top = tops.pop(low, None)
+            if top is None:
+                rest ^= low
+            elif top[0] & ~c:
+                raise NotFitch(f"clusters {_names(vs, top[0])} and {_names(vs, c)} overlap")
             else:
-                stack.append((builder.child(at, symbol), comp, False))
-    return builder.freeze()
+                parents[top[1]] = at
+                rest ^= top[0]
+                loose ^= top[0]
+        if loose != owners[c]:
+            raise NotFitch(f"cluster {_names(vs, c)} is C[y] of {_names(vs, owners[c])},"
+                           f" but {_names(vs, loose)} lie in no smaller cluster")
+        parents.append(None)
+        labels.append(symbol)
+        if c & (c - 1):
+            for y in _bits(loose):
+                names[len(parents)] = vs[y]
+                parents.append(at)
+                labels.append(NO_EVENT)
+        else:
+            names[at] = vs[c.bit_length() - 1]
+        tops[c & -c] = (c, at)
+    # the last cluster is V, the root
+    labels[at] = None
+    return LabeledTree(parents, labels, names)
 
 
 def least_resolved_simple(g: Digraph, symbol: str = "1") -> LabeledTree:
     """Build the unique least-resolved single-symbol tree explaining g.
 
-    The decomposition's tree is re-evaluated against g, so a wrong tree can
-    never be returned; any structural dead end or mismatch raises NotFitch.
+    NotFitch is raised exactly when g is not simple Fitch.  The built tree
+    is also re-evaluated against g, so a wrong tree can never be returned.
     """
     check_token(symbol, "symbol")
     if g.n == 0:

@@ -1,5 +1,5 @@
 """Shared test helpers: independent brute-force oracles kept deliberately
-dumb so they certify the fast implementations."""
+dumb so they certify the fast implementations, and input builders."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import random
 import pytest
 
 from fitchmap.core import NO_EVENT, FitchMap, LabeledTree, make_fitch_map
+from fitchmap.simple_fitch import Digraph
 
 
 def naive_evaluate(tree: LabeledTree) -> FitchMap:
@@ -43,6 +44,17 @@ def random_labeling(tree: LabeledTree, alphabet, rng: random.Random) -> LabeledT
         choices[rng.randrange(len(choices))] for _ in range(tree.n_vertices - 1)
     ]
     return tree.with_labels(labels)
+
+
+def caterpillar_digraph(k: int) -> Digraph:
+    """Simple Fitch digraph on z0..z{k-1} with in(z_i) = {z_0, ..., z_{i-1}},
+    built straight from masks.  Its least-resolved tree is a caterpillar:
+    z_0, ..., z_{k-2} hang as NO_EVENT leaves off a path of k - 2 symbol
+    edges, and z_{k-1} takes one more symbol edge at its end."""
+    full = (1 << k) - 1
+    in_ = [(1 << i) - 1 for i in range(k)]
+    out = [full ^ ((2 << i) - 1) for i in range(k)]
+    return Digraph._from_masks(tuple(f"z{i}" for i in range(k)), out, in_)
 
 
 @pytest.fixture

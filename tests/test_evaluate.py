@@ -159,8 +159,9 @@ class TestExplains:
 
     @pytest.mark.parametrize("n", [2, 63, 64, 65, 129])
     def test_each_block_of_columns_is_compared(self, n):
-        # explains() compares 64 columns at a time; 65 and 129 leave a
-        # last block of one column
+        # explains() compares each leaf's whole column; only evaluate(),
+        # which builds fm here, fills rows 64 columns at a time, and 65
+        # and 129 leave it a last block of one column
         rng = random.Random(n)
         tree, fm = random_tree_like_instance(n, n, 3)
         entries = dict(fm.pairs())

@@ -1,19 +1,20 @@
 """Hostile-shape and fuzzing checks that sit outside the acceptance
 criteria: deep chains past the interpreter recursion limit, parser
-behavior on corrupted inputs, the cost of .fm reading and writing, and
-the cost of a negative verdict."""
+behavior on corrupted inputs, the cost of .fm reading and writing, the
+cost of a negative verdict and the cost of building a deep class's tree."""
 
 import random
 import statistics
 import sys
 import time
 
+from conftest import caterpillar_digraph
 from fitchmap.core import NO_EVENT, FitchError, FitchMap, LabeledTree
 from fitchmap.evaluate import evaluate
 from fitchmap.generalized import recognize
 from fitchmap.io import read_map, read_tree, write_map, write_tree
 from fitchmap.oracle import random_tree_like_instance, witness_holds
-from fitchmap.simple_fitch import Digraph, derive_forbidden_table, least_resolved_simple
+from fitchmap.simple_fitch import Digraph, _decompose, derive_forbidden_table, least_resolved_simple
 from fitchmap.triples import aho_build
 from fitchmap.treeops import triples_of
 
@@ -277,3 +278,19 @@ class TestNegativeVerdictCost:
         medians = {n: statistics.median(ts) for n, ts in best.items()}
         assert medians[1024] < 5.0
         assert medians[1024] / medians[512] <= 5.0
+
+
+class TestDeepClassCost:
+    def test_caterpillar_class_is_not_worse_than_quadratic(self):
+        """A single-symbol class nested k deep: doubling k at most
+        quintuples the best of 3 _decompose runs (sizes interleaved)."""
+        graphs = {k: caterpillar_digraph(k) for k in (2048, 4096)}
+        best = dict.fromkeys(graphs, float("inf"))
+        for _ in range(3):
+            for k, g in graphs.items():
+                t0 = time.perf_counter()
+                tree = _decompose(g, "1")
+                best[k] = min(best[k], time.perf_counter() - t0)
+                assert tree.n_leaves == k
+                assert max(map(tree.depth, range(tree.n_vertices))) == k - 1
+        assert best[4096] / best[2048] <= 5.0

@@ -4,7 +4,8 @@ from itertools import combinations
 import pytest
 
 import fitchmap.simple_fitch
-from fitchmap.core import NO_EVENT, LabeledTree
+from conftest import caterpillar_digraph
+from fitchmap.core import NO_EVENT, LabeledTree, TreeBuilder
 from fitchmap.evaluate import evaluate
 from fitchmap.oracle import (
     enumerate_consistent_labelings,
@@ -15,6 +16,8 @@ from fitchmap.simple_fitch import (
     AlphabetTooLarge,
     Digraph,
     NotFitch,
+    _bits,
+    _decompose,
     derive_forbidden_table,
     find_forbidden_triad,
     is_least_resolved_simple,
@@ -82,6 +85,91 @@ def shuffled_tree_digraph(seed: int, n: int, rng) -> Digraph:
 
 def with_arc_flipped(g: Digraph, x: str, y: str) -> Digraph:
     return Digraph(g.vertices, g.arcs ^ {(x, y)})
+
+
+def _reference_sim_components(g: Digraph, members: int) -> list[int]:
+    """Connected components (as bitmasks) of the relation x ~ y defined by
+    'not both arcs xy and yx present', restricted to the member set."""
+    both = [g._out[v] & g._in[v] for v in range(g.n)]
+    comps = []
+    remaining = members
+    while remaining:
+        low = remaining & -remaining
+        remaining ^= low
+        comp = low
+        frontier = low
+        while frontier:
+            vbit = frontier & -frontier
+            frontier ^= vbit
+            v = vbit.bit_length() - 1
+            moved = remaining & ~both[v]
+            if moved:
+                remaining &= both[v]
+                comp |= moved
+                frontier |= moved
+        comps.append(comp)
+    return comps
+
+
+def reference_decompose(g: Digraph, symbol: str) -> LabeledTree:
+    """The level-by-level source/component peel that the cluster builder
+    replaced.  It may return a wrong tree on a digraph that is not simple
+    Fitch, so it is compared only through least_resolved_simple's
+    self-check."""
+    builder = TreeBuilder()
+    vs = g.vertices
+    stack: list[tuple[int, int, bool]] = [(builder.root(), (1 << g.n) - 1, True)]
+    while stack:
+        at, members, is_root = stack.pop()
+        sources = [v for v in _bits(members) if g._in[v] & members == 0]
+        if not is_root and not sources:
+            raise NotFitch(
+                "component {"
+                + ", ".join(vs[v] for v in _bits(members))
+                + "} has no vertex of in-degree 0"
+            )
+        zmask = 0
+        for v in sources:
+            zmask |= 1 << v
+        rest = members ^ zmask
+        comps = _reference_sim_components(g, rest)
+        if is_root and not sources and len(comps) == 1 and rest.bit_count() >= 2:
+            raise NotFitch("all vertices are pairwise linked into one root component")
+        for v in sources:
+            builder.child(at, NO_EVENT, name=vs[v])
+        for comp in comps:
+            if comp & (comp - 1) == 0:
+                builder.child(at, symbol, name=vs[comp.bit_length() - 1])
+            else:
+                stack.append((builder.child(at, symbol), comp, False))
+    return builder.freeze()
+
+
+def self_checked(decompose, g: Digraph):
+    """least_resolved_simple(g) with `decompose` as its builder: the tree,
+    or None on NotFitch."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fitchmap.simple_fitch, "_decompose", decompose)
+        try:
+            return least_resolved_simple(g)
+        except NotFitch:
+            return None
+
+
+def assert_decisive_and_matches_reference(g: Digraph) -> bool:
+    """The cluster builder raises NotFitch exactly when g has a forbidden
+    triad, and otherwise returns the tree that the reference peel passes
+    through the self-check.  Returns whether g is simple Fitch."""
+    expected = self_checked(reference_decompose, g)
+    assert self_checked(_decompose, g) == expected
+    if find_forbidden_triad(g) is None:
+        assert expected is not None
+        assert _decompose(g, "1") == expected
+        return True
+    assert expected is None
+    with pytest.raises(NotFitch):
+        _decompose(g, "1")
+    return False
 
 
 class TestForbiddenTable:
@@ -152,6 +240,48 @@ class TestPairScanMatchesReference:
         assert reference_find_forbidden_triad(h.induced(h.vertices[:-1])) is None
         assert expected[-1] == last
         assert find_forbidden_triad(h) == expected
+
+
+class TestDecomposeMatchesReference:
+    """_decompose builds the tree from the in-neighbourhood clusters in one
+    pass; it must agree with the level-by-level peel it replaced and be
+    decisive on its own."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_all_small_digraphs(self, n):
+        digraphs = all_digraphs([f"v{i}" for i in range(n)])
+        fitch = sum(map(assert_decisive_and_matches_reference, digraphs))
+        assert fitch == {2: 4, 3: 26, 4: 243}[n]
+
+    def test_random_digraphs(self):
+        rng = random.Random(407)
+        fitch = 0
+        for _ in range(2000):
+            names = [f"v{i}" for i in range(rng.randrange(2, 13))]
+            p = rng.uniform(0.05, 0.95)
+            g = Digraph(names, [(x, y) for x in names for y in names if x != y and rng.random() < p])
+            fitch += assert_decisive_and_matches_reference(g)
+        assert 200 < fitch < 600
+
+    def test_shuffled_tree_like_digraphs(self):
+        rng = random.Random(408)
+        flipped_fitch = 0
+        for seed in range(600):
+            g = shuffled_tree_digraph(seed, rng.randrange(2, 81), rng)
+            assert assert_decisive_and_matches_reference(g)
+            x, y = rng.sample(g.vertices, 2)
+            flipped_fitch += assert_decisive_and_matches_reference(with_arc_flipped(g, x, y))
+        assert 20 < flipped_fitch < 200
+
+    @pytest.mark.parametrize("k", [2, 3, 17, 200])
+    def test_caterpillars(self, k):
+        g = caterpillar_digraph(k)
+        assert assert_decisive_and_matches_reference(g)
+        tree = _decompose(g, "1")
+        assert max(map(tree.depth, range(tree.n_vertices))) == k - 1
+        names = list(g.vertices)
+        random.Random(k).shuffle(names)
+        assert _decompose(g.induced(names), "1") == tree
 
 
 class TestIsSimpleFitch:
@@ -319,3 +449,6 @@ class TestRoundTripProperties:
             assert is_simple_fitch(g)
             sub = rng.sample(g.vertices, 4)
             assert is_simple_fitch(g.induced(sub))
+            for bad in (sub + ["absent"], sub + sub[:1]):
+                with pytest.raises(ValueError):
+                    g.induced(bad)
