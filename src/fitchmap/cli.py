@@ -15,10 +15,11 @@ import random
 import statistics
 import sys
 import time
+from itertools import product
 from typing import Optional, Sequence
 
 from . import __version__, io, oracle
-from .core import FitchError, LabelConflict, RootedTriple, TripleSet
+from .core import NO_EVENT, FitchError, LabelConflict, RootedTriple, TripleSet, make_fitch_map
 from .evaluate import evaluate, explains
 from .generalized import recognize
 from .triples import Inconsistent, aho_build, informative_triples
@@ -134,8 +135,6 @@ def _cmd_gen_random(args) -> int:
 def _mutate_map(fmap, rng):
     """Flip a few random entries; the result usually stops being tree-like."""
     entries = {pair: lab for pair, lab in fmap.pairs()}
-    from .core import NO_EVENT, make_fitch_map
-
     pool = list(fmap.alphabet) + ["1"] + [NO_EVENT]
     pairs = sorted(entries)
     for _ in range(rng.randrange(1, 4)):
@@ -150,9 +149,6 @@ def _cmd_oracle_verify(args) -> int:
         leaves = [f"L{i}" for i in range(1, args.leaves + 1)]
         alphabet = [str(i) for i in range(1, args.symbols + 1)]
         truth = oracle.all_explainers(leaves, alphabet)
-        from .core import NO_EVENT, make_fitch_map
-        from itertools import product
-
         labels = [NO_EVENT] + alphabet
         pairs = [(x, y) for x in leaves for y in leaves if x != y]
         order = sorted(leaves)

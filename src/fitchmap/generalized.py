@@ -9,14 +9,18 @@ each class's least-resolved subtree under the root, below an extra
 symbol edge exactly when the subtree is a single leaf or its root meets a
 NO_EVENT edge.
 
-recognize() assembles that tree once and certifies it once with explains();
-by the characterization theorem this passes exactly on tree-like maps, so
-the T2/T3 diagnostics of check_conditions() run only to name a witness.
+recognize() walks the symbol classes once, in alphabet order, building and
+decomposing each class digraph once: the first class that is not simple
+Fitch is the T2 witness, named from that walk's own digraph.  Otherwise the
+assembled tree is certified once with explains(); by the characterization
+theorem this passes exactly on tree-like maps, so the scan of arcs entering
+a class from outside runs only after a failed certificate, to name T3 or T4.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional, Union
 
 from .core import (
@@ -30,7 +34,8 @@ from .core import (
     label_token,
 )
 from .evaluate import evaluate, explains
-from .simple_fitch import Digraph, NotFitch, _decompose, _structurally_least_resolved, find_forbidden_triad, least_resolved_simple
+from .simple_fitch import Digraph, NotFitch, _decompose, _structurally_least_resolved, find_forbidden_triad
+from .simple_fitch import least_resolved_simple  # unused here; perfbench/spans.py wraps it, else --trace 1 hits AttributeError
 
 
 class NotOtimesFree(FitchError):
@@ -178,92 +183,85 @@ def _class_codes(fmap: FitchMap, classes: QuasiPartition) -> list[int]:
     return out
 
 
-def _class_digraph(fmap: FitchMap, member_idx: list[int]) -> Digraph:
-    return Digraph._from_code_rows(fmap.leaves, fmap._rows, member_idx)
-
-
-def _check_t3(fmap: FitchMap, codes: list[int]) -> Optional[T3Violation]:
-    rows = fmap._rows
-    leaves = fmap.leaves
-    for mcode, m in enumerate(fmap.alphabet, start=1):
-        for x in range(fmap.n):
-            if codes[x] != mcode:
-                continue
-            for y in range(fmap.n):
-                if y == x or codes[y] == mcode:
-                    continue
-                if rows[y][x] != mcode:
-                    return T3Violation(
-                        x=leaves[x], y=leaves[y], expected=m, found=fmap.decode(rows[y][x])
-                    )
-    return None
-
-
-def _check_t4(fmap: FitchMap, codes: list[int]) -> Optional[T4Violation]:
-    rows = fmap._rows
-    leaves = fmap.leaves
-    for x in range(fmap.n):
-        if codes[x] != 0:
-            continue
-        for y in range(fmap.n):
-            if y != x and rows[y][x] != 0:
-                return T4Violation(x=leaves[x], y=leaves[y], found=fmap.decode(rows[y][x]))
-    return None
+def _outside_arcs(fmap: FitchMap, classes: QuasiPartition) -> Optional[Union[T3Violation, T4Violation]]:
+    """First arc (y, x) that enters x from outside x's class but does not
+    carry x's class code: T3 for a symbol class, T4 for a NO_EVENT leaf,
+    which is a class of its own.  Order: symbol classes in alphabet order,
+    the NO_EVENT class last, then x, then y.  Columns are checked by C-level
+    counts; only the failing column named is searched for y."""
+    codes = _class_codes(fmap, classes)
+    n, rows = fmap.n, fmap._rows
+    outside: dict[int, bytes] = {}
+    bad = []
+    for x, col in enumerate(zip(*rows)):
+        c = codes[x]
+        if c not in outside:
+            # every other leaf is outside a NO_EVENT leaf's class; the -1
+            # diagonal is then the one entry of the column that is not 0
+            outside[c] = bytes(map(c.__ne__, codes)) if c else b"\1" * n
+        seen = list(compress(col, outside[c]))
+        if seen.count(c) != len(seen) - (c == 0):
+            bad.append(x)
+    if not bad:
+        return None
+    x = min(bad, key=lambda x: (codes[x] == 0, codes[x], x))
+    c = codes[x]
+    y = next(y for y in range(n) if y != x and (c == 0 or codes[y] != c) and rows[y][x] != c)
+    found = fmap.decode(rows[y][x])
+    if c == 0:
+        return T4Violation(fmap.leaves[x], fmap.leaves[y], found)
+    return T3Violation(fmap.leaves[x], fmap.leaves[y], fmap.alphabet[c - 1], found)
 
 
 def check_conditions(fmap: FitchMap, classes: QuasiPartition) -> Optional[Violation]:
-    """Check T2, T3, T4 in order and return the first violation found.
+    """Check T2, T3, T4 in order and return the first violation found: the
+    first class assemble() finds not simple Fitch, else the outside-arc scan.
 
     T1 is certified by compute_classes; T4 is implied by the class
     computation but re-checked as defense in depth.
     """
-    codes = _class_codes(fmap, classes)
-    for mcode, m in enumerate(fmap.alphabet, start=1):
-        member_idx = [i for i in range(fmap.n) if codes[i] == mcode]
-        if len(member_idx) < 2:
-            continue
-        g = _class_digraph(fmap, member_idx)
-        try:
-            least_resolved_simple(g, symbol=m)
-        except NotFitch:
-            return T2Violation(symbol=m, triad=find_forbidden_triad(g))
-    v3 = _check_t3(fmap, codes)
-    if v3 is not None:
-        return v3
-    return _check_t4(fmap, codes)
+    try:
+        assemble(fmap, classes)
+    except NotFitch as exc:
+        return T2Violation(exc.symbol, find_forbidden_triad(exc.digraph))
+    return _outside_arcs(fmap, classes)
 
 
 def assemble(fmap: FitchMap, classes: QuasiPartition) -> LabeledTree:
     """Assemble the least-resolved tree for a map satisfying T1 to T4.
 
-    NotFitch is raised exactly when a class digraph is not simple Fitch;
-    on a map that breaks T3 or T4 the tree fails to explain it.  When the
-    whole leaf set is one symbol class, the class tree already is the
-    answer: hanging it below an extra root edge would leave that root with
-    a single child, and contracting the edge lands back on the class tree.
+    One walk over the symbol classes, in alphabet order, builds and
+    decomposes each class digraph once.  NotFitch is raised exactly when a
+    class digraph is not simple Fitch, and carries that class's ``symbol``
+    and ``digraph``; on a map that breaks T3 or T4 the tree fails to explain
+    it.  A class of one leaf hangs that leaf, an empty class nothing.  When
+    one symbol class holds every leaf, its tree already is the answer:
+    hanging it below an extra root edge would leave that root with a single
+    child, and contracting the edge lands back on the class tree.
     """
-    codes = _class_codes(fmap, classes)
-    no_event_idx = [i for i in range(fmap.n) if codes[i] == 0]
-
-    if len(fmap.alphabet) == 1 and not no_event_idx:
-        return _decompose(_class_digraph(fmap, list(range(fmap.n))), fmap.alphabet[0])
-
+    members: list[list[int]] = [[] for _ in range(len(fmap.alphabet) + 1)]
+    for i, c in enumerate(_class_codes(fmap, classes)):
+        members[c].append(i)
     builder = TreeBuilder()
     rho = builder.root()
-    for mcode, m in enumerate(fmap.alphabet, start=1):
-        member_idx = [i for i in range(fmap.n) if codes[i] == mcode]
-        if len(member_idx) == 1:
-            builder.child(rho, m, name=fmap.leaves[member_idx[0]])
+    for m, idx in zip(fmap.alphabet, members[1:]):
+        if len(idx) < 2:
+            for i in idx:
+                builder.child(rho, m, name=fmap.leaves[i])
             continue
-        t_m = _decompose(_class_digraph(fmap, member_idx), m)
-        root_meets_no_event = any(
-            t_m.label(c) is NO_EVENT for c in t_m.children(t_m.root)
-        )
-        if root_meets_no_event:
+        g = Digraph._from_code_rows(fmap.leaves, fmap._rows, idx)
+        try:
+            t_m = _decompose(g, m)
+        except NotFitch as exc:
+            exc.symbol, exc.digraph = m, g
+            raise
+        if len(idx) == fmap.n:
+            return t_m
+        if any(t_m.label(c) is NO_EVENT for c in t_m.children(t_m.root)):
             builder.graft_children(builder.child(rho, m), t_m)
         else:
             builder.graft_children(rho, t_m)
-    for i in no_event_idx:
+    for i in members[0]:
         builder.child(rho, NO_EVENT, name=fmap.leaves[i])
     return builder.freeze()
 
@@ -271,7 +269,9 @@ def assemble(fmap: FitchMap, classes: QuasiPartition) -> LabeledTree:
 def recognize(fmap: FitchMap) -> RecognitionReport:
     """Decide tree-likeness; on success the report carries the unique
     least-resolved explaining tree, certified by explains(), otherwise the
-    violation witness that check_conditions() names."""
+    violation witness that check_conditions() names.  T2 is named from
+    assemble()'s own class walk; the outside-arc scan for T3 and T4 runs
+    only after a failed certificate."""
     limit = 2 * fmap.n - 2
     if len(fmap.alphabet) > limit:
         return RecognitionReport(None, AlphabetTooLarge(len(fmap.alphabet), limit))
@@ -280,12 +280,11 @@ def recognize(fmap: FitchMap) -> RecognitionReport:
         return RecognitionReport(None, classes)
     try:
         tree = assemble(fmap, classes)
-    except NotFitch:
-        pass
-    else:
-        if explains(tree, fmap):
-            return RecognitionReport(tree, None)
-    return RecognitionReport(None, check_conditions(fmap, classes))
+    except NotFitch as exc:
+        return RecognitionReport(None, T2Violation(exc.symbol, find_forbidden_triad(exc.digraph)))
+    if explains(tree, fmap):
+        return RecognitionReport(tree, None)
+    return RecognitionReport(None, _outside_arcs(fmap, classes))
 
 
 def recognize_no_otimes(fmap: FitchMap) -> RecognitionReport:

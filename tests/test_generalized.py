@@ -280,6 +280,15 @@ class TestAssemble:
         t = assemble(m, compute_classes(m))
         assert t == LabeledTree.build(tuple((nm, NO_EVENT) for nm in "abc"))
 
+    def test_empty_class_hangs_nothing(self):
+        # QuasiPartition allows one empty class; the class walk skips it
+        m = make_fitch_map(["a", "b"], {("a", "b"): "1", ("b", "a"): NO_EVENT})
+        forged = QuasiPartition({NO_EVENT: {"a", "b"}, "1": set()})
+        t = assemble(m, forged)
+        assert t == LabeledTree.build((("a", NO_EVENT), ("b", NO_EVENT)))
+        assert not explains(t, m)
+        assert check_conditions(m, forged) == T4Violation(x="b", y="a", found="1")
+
     def test_single_class_with_inner_structure(self):
         # X = X_1 with a non-star least-resolved tree: the class tree is
         # returned as-is (hanging it below an extra edge would leave a
@@ -403,9 +412,28 @@ class TestSinglePipeline:
             # the whole tree is evaluated exactly once, by the certificate
             assert sorted(walked) == [(tree, j) for j in range(tree.n_leaves)]
 
-    def test_failure_witnesses_match_check_conditions(self):
+    def test_failure_witnesses_match_check_conditions(self, monkeypatch):
         rng = random.Random(311)
         dead_ends = uncertified = 0
+        real_build = Digraph._from_code_rows
+        real_decompose = fitchmap.generalized._decompose
+        built, decomposed = [], []
+
+        def counting_build(cls, names, rows, idx):
+            built.append(tuple(idx))
+            return real_build(names, rows, idx)
+
+        def counting_decompose(g, symbol):
+            decomposed.append(g.vertices)
+            return real_decompose(g, symbol)
+
+        def second_pipeline(*args, **kwargs):
+            raise AssertionError("a negative verdict ran a second pipeline")
+
+        # the triad scan derives its table once, through evaluate(); do that
+        # before evaluate() is barred
+        fitchmap.simple_fitch._pair_kernel()
+
         for seed in range(80):
             _, fm = random_tree_like_instance(seed, 3 + seed % 14, 3)
             entries = dict(fm.pairs())
@@ -413,11 +441,24 @@ class TestSinglePipeline:
             others = [lab for lab in (NO_EVENT, *fm.alphabet) if lab != entries[pair]]
             entries[pair] = others[rng.randrange(len(others))]
             m = make_fitch_map(fm.leaves, entries)
-            report = recognize(m)
+            classes = compute_classes(m)
+            t1 = isinstance(classes, T1Violation)
+            walked = 0 if t1 else sum(len(classes.members(s)) >= 2 for s in m.alphabet)
+            built.clear()
+            decomposed.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(Digraph, "_from_code_rows", classmethod(counting_build))
+                mp.setattr(fitchmap.generalized, "_decompose", counting_decompose)
+                for name in ("check_conditions", "least_resolved_simple"):
+                    mp.setattr(fitchmap.generalized, name, second_pipeline)
+                mp.setattr(fitchmap.simple_fitch, "evaluate", second_pipeline)
+                report = recognize(m)
+            # one walk over the classes: each digraph built and decomposed at most once
+            assert len(set(built)) == len(built) <= walked
+            assert len(set(decomposed)) == len(decomposed) <= walked
             if not report.tree_like:
                 assert witness_holds(m, report.reason)
-            classes = compute_classes(m)
-            if isinstance(classes, T1Violation):
+            if t1:
                 continue
             assert report.reason == check_conditions(m, classes)
             try:

@@ -11,7 +11,7 @@ import time
 from conftest import caterpillar_digraph
 from fitchmap.core import NO_EVENT, FitchError, FitchMap, LabeledTree
 from fitchmap.evaluate import evaluate
-from fitchmap.generalized import recognize
+from fitchmap.generalized import check_conditions, compute_classes, recognize
 from fitchmap.io import read_map, read_tree, write_map, write_tree
 from fitchmap.oracle import random_tree_like_instance, witness_holds
 from fitchmap.simple_fitch import Digraph, _decompose, derive_forbidden_table, least_resolved_simple
@@ -275,6 +275,46 @@ class TestNegativeVerdictCost:
                     best[n][r] = min(best[n][r], time.perf_counter() - t0)
                     assert not report.tree_like
                     assert report.reason.kind == "T2" and report.reason.triad == triad
+        medians = {n: statistics.median(ts) for n, ts in best.items()}
+        assert medians[1024] < 5.0
+        assert medians[1024] / medians[512] <= 5.0
+
+
+def _late_flip_t3_map(seed: int, n: int):
+    """A random tree-like map with the symbol dropped from one arc that
+    enters the last member of the last symbol class from outside; the
+    member keeps its class through its other arcs from outside."""
+    rng = random.Random(seed)
+    _, fm = random_tree_like_instance(seed, n, 8)
+    members = compute_classes(fm).members(fm.alphabet[-1])
+    x = max(map(fm._index.__getitem__, members))
+    code = len(fm.alphabet)
+    rows = [list(row) for row in fm._rows]
+    sources = [y for y in range(n) if rows[y][x] == code and fm.leaves[y] not in members]
+    rows[rng.choice(sources)][x] = 0
+    return FitchMap(fm.leaves, fm.alphabet, rows)
+
+
+class TestNegativeVerdictT3Cost:
+    def test_late_t3_witness_is_quadratic(self):
+        """Late-flip T3 maps: doubling n at most quintuples the median
+        recognize() time (5 maps per size, each map's best of 3 runs, sizes
+        interleaved), n=1024 stays under 5 s, and the witness is the one
+        check_conditions() names and holds on the map."""
+        maps = {n: [_late_flip_t3_map(80_000 + r, n) for r in range(5)] for n in (512, 1024)}
+        best = {n: [float("inf")] * 5 for n in maps}
+        for _ in range(3):
+            for r in range(5):
+                for n in maps:
+                    fmap = maps[n][r]
+                    t0 = time.perf_counter()
+                    report = recognize(fmap)
+                    best[n][r] = min(best[n][r], time.perf_counter() - t0)
+                    assert not report.tree_like and report.reason.kind == "T3"
+        for fmap in maps[512] + maps[1024]:
+            reason = recognize(fmap).reason
+            assert reason == check_conditions(fmap, compute_classes(fmap))
+            assert witness_holds(fmap, reason)
         medians = {n: statistics.median(ts) for n, ts in best.items()}
         assert medians[1024] < 5.0
         assert medians[1024] / medians[512] <= 5.0
