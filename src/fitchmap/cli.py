@@ -201,6 +201,12 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _nonnegative_int(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fitchmap",
@@ -239,13 +245,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-random", help="emit a seeded random instance")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--leaves", type=int, required=True)
-    p.add_argument("--symbols", type=int, required=True)
+    p.add_argument("--symbols", type=_nonnegative_int, required=True)
     p.add_argument("-o-prefix", "--o-prefix", dest="o_prefix", default="instance")
     p.set_defaults(func=_cmd_gen_random)
 
     p = sub.add_parser("oracle-verify", help="compare recognizer against brute force")
     p.add_argument("--leaves", type=int, required=True)
-    p.add_argument("--symbols", type=int, required=True)
+    p.add_argument("--symbols", type=_nonnegative_int, required=True)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--exhaustive", action="store_true")
     mode.add_argument("--samples", type=_positive_int, default=100)
@@ -254,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="median wall time of recognize()")
     p.add_argument("--leaves", type=int, required=True)
-    p.add_argument("--symbols", type=int, required=True)
+    p.add_argument("--symbols", type=_nonnegative_int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--repeat", type=_positive_int, default=20)
     p.set_defaults(func=_cmd_bench)

@@ -1,14 +1,23 @@
 """Forward semantics: the map a labeled tree explains, and explains() tests.
 
-evaluate() runs in O(n^2): one bottom-up walk per leaf y maintains the
-label status of the path from the current ancestor down to y, and the
-leaves branching off at that ancestor receive the status via contiguous
-slice writes over the canonical leaf order.
+Entry (x, y) is y's root-path symbol, except that it is NO_EVENT when y's
+lowest event vertex is an ancestor of x.  So every row of the map is one
+template with a few entries zeroed, and two passes over the vertices build
+all of them, whatever the tree's shape:
+
+- pass 1 (_root_paths), in preorder: each vertex inherits its root path's
+  symbol, its lowest event vertex and the deepest event vertex above that
+  one with another label; a leaf that has the last is a LabelConflict;
+- pass 2 (_rows), one DFS over one length-n template that starts as each
+  leaf's symbol: entering v zeroes the leaves whose lowest event vertex is
+  v, leaving v restores them, and at leaf x the template is row x but for
+  the diagonal.
+
+That is O(vertices + n) Python steps, plus n row copies (evaluate) or row
+compares (explains) done in C.
 """
 
 from __future__ import annotations
-
-from operator import eq
 
 from .core import (
     NO_EVENT,
@@ -28,59 +37,89 @@ def evaluate(tree: LabeledTree) -> FitchMap:
     two distinct symbols, i.e. when the tree explains no map at all.
     """
     alphabet = tree.event_symbols()
-    n = tree.n_leaves
-    rows = [[-1] * n for _ in range(n)]
-    # 64 columns at a time, so no n x n column set is held beside the rows
-    for lo in range(0, n, 64):
-        block = zip(*_columns(tree, alphabet, range(lo, min(lo + 64, n))))
-        for row, part in zip(rows, block):
-            row[lo:lo + 64] = part
+    rows = [t[:] for t in _rows(tree, alphabet, range(tree.n_leaves))]
+    for i, row in enumerate(rows):
+        row[i] = -1
     # every edge lies on some lca-path, so a successful evaluation
     # witnesses every symbol and the alphabet needs no re-normalization
     return FitchMap(tree.leaf_names, alphabet, rows)
 
 
-def _columns(tree: LabeledTree, alphabet, positions):
-    """Yield column y of the map, over x in canonical order, for each given
-    canonical position of y; code i >= 1 is alphabet[i-1], -1 the diagonal."""
+def _root_paths(tree: LabeledTree, alphabet):
+    """Pass 1: per vertex, the code of its root path's symbol (code i >= 1
+    is alphabet[i-1], 0 none) and its lowest event vertex (-1 none).
+
+    Raises LabelConflict for the first leaf y, in canonical order, whose
+    root path carries two symbols, at the lowest vertex where it does.
+    """
     if tree.n_leaves < 2:
         raise NonPhylogenetic("evaluation needs a tree with at least 2 leaves")
 
     code = {s: i + 1 for i, s in enumerate(alphabet)}
-    names = tree.leaf_names
-    n = len(names)
-    span = tree.span
+    parent, labels, span = tree._parent, tree._labels, tree._span
+    nv = len(parent)
+    sym = [0] * nv
+    low = [-1] * nv
+    bad = [-1] * nv  # the deepest event vertex above low[v] labeled unlike it
+    for v in range(1, nv):
+        p = parent[v]
+        lab = labels[v]
+        if lab is NO_EVENT:
+            sym[v], low[v], bad[v] = sym[p], low[p], bad[p]
+        else:
+            c = code[lab]
+            s = sym[p]
+            sym[v], low[v] = c, v
+            bad[v] = low[p] if s and s != c else bad[p]
 
-    for j in positions:
-        col = [0] * n
-        col[j] = -1
-        status = 0
-        v = tree.leaf_vertices[j]
-        while v != 0:
-            p = tree.parent(v)
-            lab = tree.label(v)
-            if lab is not NO_EVENT:
-                c = code[lab]
-                if status and status != c:
-                    lo_p, hi_p = span(p)
-                    lo_v, hi_v = span(v)
-                    xpos = lo_p if lo_p < lo_v else hi_v
-                    raise LabelConflict(
-                        f"path from lca({names[xpos]!r}, {names[j]!r}) to "
-                        f"{names[j]!r} carries two symbols "
-                        f"{sorted((alphabet[status - 1], lab))}",
-                        witness=(names[xpos], names[j]),
-                        symbols=sorted((alphabet[status - 1], lab)),
-                    )
-                status = c
-            lo_p, hi_p = span(p)
-            lo_v, hi_v = span(v)
-            if lo_p < lo_v:
-                col[lo_p:lo_v] = [status] * (lo_v - lo_p)
-            if hi_v < hi_p:
-                col[hi_v:hi_p] = [status] * (hi_p - hi_v)
-            v = p
-        yield col
+    for y in tree._leafv:
+        v = bad[y]
+        if v < 0:
+            continue
+        # x branches off y's path just above v: the first leaf of the
+        # parent's span, unless v's own span starts there
+        lo_p = span[parent[v]][0]
+        lo_v, hi_v = span[v]
+        names = tree.leaf_names
+        x, yn = names[lo_p if lo_p < lo_v else hi_v], names[span[y][0]]
+        symbols = sorted((labels[low[y]], labels[v]))
+        raise LabelConflict(
+            f"path from lca({x!r}, {yn!r}) to {yn!r} carries two symbols {symbols}",
+            witness=(x, yn),
+            symbols=symbols,
+        )
+    return sym, low
+
+
+def _rows(tree: LabeledTree, alphabet, pos):
+    """Pass 2: yield one template per leaf x, in canonical order, equal to
+    row x of the map but for its diagonal entry; the leaf at canonical
+    position j has entry pos[j].  The template is one list, changed in
+    place between yields, so a caller that changes it must restore it."""
+    sym, low = _root_paths(tree, alphabet)
+    leaves = tree._leafv
+    template = [0] * len(leaves)
+    zeroed = [[] for _ in sym]  # Z[v]: entries of the leaves whose lowest event vertex is v
+    for i, y in zip(pos, leaves):
+        template[i] = sym[y]
+        if low[y] >= 0:
+            zeroed[low[y]].append(i)
+    restore = template[:]
+
+    span, children = tree._span, tree._children
+    entered = []  # vertices with entries zeroed, innermost last
+    for v in range(1, len(sym)):
+        # in preorder, an entered vertex is v's ancestor iff its span reaches past v's start
+        lo = span[v][0]
+        while entered and span[entered[-1]][1] <= lo:
+            for i in zeroed[entered.pop()]:
+                template[i] = restore[i]
+        if zeroed[v]:
+            for i in zeroed[v]:
+                template[i] = 0
+            entered.append(v)
+        if not children[v]:
+            yield template
 
 
 def label_consistent(tree: LabeledTree) -> bool:
@@ -104,15 +143,23 @@ def label_consistent(tree: LabeledTree) -> bool:
 
 
 def explains(tree: LabeledTree, fmap: FitchMap) -> bool:
-    """True iff the tree evaluates without conflict to exactly this map; each leaf is
-    walked once and its whole column compared with the map's, no n x n matrix built."""
+    """True iff the tree evaluates without conflict to exactly this map; the
+    template is indexed in fmap's leaf order and each leaf's row compared
+    with the map's in place, no n x n matrix built."""
     if set(tree.leaf_names) != set(fmap.leaves):
         raise LeafSetMismatch("tree and map have different leaf sets")
     # coded by fmap's alphabet; a symbol fmap lacks is coded past it
     alphabet = fmap.alphabet + tuple(sorted(set(tree.event_symbols()) - set(fmap.alphabet)))
-    order = [tree.span(tree.vertex_of(nm))[0] for nm in fmap.leaves]
-    rows = [fmap._rows[fmap._index[nm]] for nm in tree.leaf_names]
+    pos = [fmap._index[nm] for nm in tree.leaf_names]
+    rows = fmap._rows
     try:
-        return all(map(eq, _columns(tree, alphabet, order), map(list, zip(*rows))))
+        for i, template in zip(pos, _rows(tree, alphabet, pos)):
+            # a leaf's own entry is 0 at its row: the leaf lies below its
+            # lowest event vertex, or has none and so no symbol
+            template[i] = -1
+            if template != rows[i]:
+                return False
+            template[i] = 0
     except LabelConflict:
         return False
+    return True

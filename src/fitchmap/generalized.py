@@ -33,7 +33,7 @@ from .core import (
     TreeBuilder,
     label_token,
 )
-from .evaluate import evaluate, explains
+from .evaluate import _root_paths, explains
 from .simple_fitch import Digraph, NotFitch, _decompose, _structurally_least_resolved, find_forbidden_triad
 from .simple_fitch import least_resolved_simple  # unused here; perfbench/spans.py wraps it, else --trace 1 hits AttributeError
 
@@ -299,5 +299,5 @@ def is_least_resolved_general(tree: LabeledTree) -> bool:
     """Structural least-resolvedness: no inner NO_EVENT edge, and every
     non-root inner vertex meets an outer NO_EVENT edge.  Raises
     LabelConflict for trees that explain no map at all."""
-    evaluate(tree)
+    _root_paths(tree, tree.event_symbols())
     return _structurally_least_resolved(tree)

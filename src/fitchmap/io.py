@@ -115,7 +115,7 @@ def read_map(text: str) -> FitchMap:
 
 def write_map(fmap: FitchMap) -> str:
     tokens = ("-", *fmap.alphabet, ".")  # code c is tokens[c]; the diagonal's -1 is '.'
-    rows = ("\t".join(map(tokens.__getitem__, row)) for row in fmap._rows)
+    rows = ("\t".join([tokens[c] for c in row]) for row in fmap._rows)
     return "\n".join([_MAP_HEADER, "\t".join(fmap.leaves), *rows]) + "\n"
 
 

@@ -7,7 +7,14 @@ import random
 
 import pytest
 
-from fitchmap.core import NO_EVENT, FitchMap, LabeledTree, make_fitch_map
+from fitchmap.core import (
+    NO_EVENT,
+    FitchMap,
+    LabelConflict,
+    LabeledTree,
+    NonPhylogenetic,
+    make_fitch_map,
+)
 from fitchmap.simple_fitch import Digraph
 
 
@@ -35,6 +42,63 @@ def naive_evaluate(tree: LabeledTree) -> FitchMap:
                 raise AssertionError(f"path conflict on ({x}, {y}): {symbols}")
             entries[(x, y)] = symbols.pop() if symbols else NO_EVENT
     return make_fitch_map(names, entries)
+
+
+def reference_evaluate(tree: LabeledTree) -> FitchMap:
+    """The per-leaf root-path walker evaluate() used before its row
+    template: O(n * depth), filling rows 64 columns at a time.  Kept as
+    the reference for evaluate()'s rows and LabelConflict witnesses."""
+    alphabet = tree.event_symbols()
+    n = tree.n_leaves
+    rows = [[-1] * n for _ in range(n)]
+    for lo in range(0, n, 64):
+        block = zip(*_reference_columns(tree, alphabet, range(lo, min(lo + 64, n))))
+        for row, part in zip(rows, block):
+            row[lo:lo + 64] = part
+    return FitchMap(tree.leaf_names, alphabet, rows)
+
+
+def _reference_columns(tree: LabeledTree, alphabet, positions):
+    """Column y of the map, over x in canonical order, for each given
+    canonical position of y; the first conflict walking up from y raises."""
+    if tree.n_leaves < 2:
+        raise NonPhylogenetic("evaluation needs a tree with at least 2 leaves")
+
+    code = {s: i + 1 for i, s in enumerate(alphabet)}
+    names = tree.leaf_names
+    n = len(names)
+    span = tree.span
+
+    for j in positions:
+        col = [0] * n
+        col[j] = -1
+        status = 0
+        v = tree.leaf_vertices[j]
+        while v != 0:
+            p = tree.parent(v)
+            lab = tree.label(v)
+            if lab is not NO_EVENT:
+                c = code[lab]
+                if status and status != c:
+                    lo_p, hi_p = span(p)
+                    lo_v, hi_v = span(v)
+                    xpos = lo_p if lo_p < lo_v else hi_v
+                    raise LabelConflict(
+                        f"path from lca({names[xpos]!r}, {names[j]!r}) to "
+                        f"{names[j]!r} carries two symbols "
+                        f"{sorted((alphabet[status - 1], lab))}",
+                        witness=(names[xpos], names[j]),
+                        symbols=sorted((alphabet[status - 1], lab)),
+                    )
+                status = c
+            lo_p, hi_p = span(p)
+            lo_v, hi_v = span(v)
+            if lo_p < lo_v:
+                col[lo_p:lo_v] = [status] * (lo_v - lo_p)
+            if hi_v < hi_p:
+                col[hi_v:hi_p] = [status] * (hi_p - hi_v)
+            v = p
+        yield col
 
 
 def random_labeling(tree: LabeledTree, alphabet, rng: random.Random) -> LabeledTree:

@@ -207,6 +207,23 @@ class TestGenRandomAndOracle:
         assert out == ""
         assert f"error: argument {argv[-2]}: must be at least 1, got {argv[-1]}" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("gen-random", "--seed", "1", "--leaves", "8", "--symbols", "-1"),
+            ("bench", "--leaves", "16", "--repeat", "3", "--symbols", "-1"),
+            ("oracle-verify", "--leaves", "4", "--samples", "3", "--symbols", "-1"),
+            ("oracle-verify", "--leaves", "2", "--exhaustive", "--symbols", "-1"),
+        ],
+    )
+    def test_negative_symbols_exits_two(self, capsys, argv):
+        # an empty alphabet is allowed; a negative size is a usage error,
+        # not a traceback or a run over no symbols at all
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "error: argument --symbols: must be at least 0, got -1" in err
+
     def test_bench_wrong_verdict_exits_one(self, capsys, monkeypatch):
         # an explicit check, not an assert, so python -O keeps it
         wrong = RecognitionReport(None, T2Violation(symbol="1", triad=("a", "b", "c")))

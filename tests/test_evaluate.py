@@ -1,10 +1,11 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_evaluate, random_labeling
+from conftest import naive_evaluate, random_labeling, reference_evaluate
 from fitchmap.core import (
     NO_EVENT,
     FitchMap,
@@ -159,9 +160,9 @@ class TestExplains:
 
     @pytest.mark.parametrize("n", [2, 63, 64, 65, 129])
     def test_each_block_of_columns_is_compared(self, n):
-        # explains() compares each leaf's whole column; only evaluate(),
-        # which builds fm here, fills rows 64 columns at a time, and 65
-        # and 129 leave it a last block of one column
+        # explains() compares each leaf's whole row, its template indexed
+        # in the shuffled map's order; the sizes straddle the 64-column
+        # blocks evaluate() once filled, kept as edge cases of the template
         rng = random.Random(n)
         tree, fm = random_tree_like_instance(n, n, 3)
         entries = dict(fm.pairs())
@@ -178,3 +179,92 @@ class TestExplains:
         tree = LabeledTree.build((("a", "1"), ("b", "2")))
         assert not explains(tree, FitchMap(["a", "b"], ("1",), [[-1, 1], [1, -1]]))
         assert not explains(tree, FitchMap(["a", "b"], ("2",), [[-1, 1], [1, -1]]))
+
+
+def _outcome(evaluator, tree):
+    """The exact rows evaluator builds, or the exact LabelConflict it raises."""
+    try:
+        fm = evaluator(tree)
+    except LabelConflict as e:
+        return ("conflict", str(e), e.witness, e.symbols)
+    return ("map", fm.leaves, fm.alphabet, fm._rows)
+
+
+def _shuffled(fm, rng, flip):
+    """fm with its leaves and its alphabet in random order; with flip, one
+    off-diagonal entry changed to another code."""
+    perm = list(range(fm.n))
+    rng.shuffle(perm)
+    alphabet = list(fm.alphabet)
+    rng.shuffle(alphabet)
+    recode = {-1: -1, 0: 0, **{c + 1: alphabet.index(s) + 1 for c, s in enumerate(fm.alphabet)}}
+    rows = [[recode[fm._rows[i][j]] for j in perm] for i in perm]
+    if flip:
+        i, j = rng.sample(range(fm.n), 2)
+        rows[i][j] = rng.choice([c for c in range(len(alphabet) + 1) if c != rows[i][j]])
+    return FitchMap([fm.leaves[i] for i in perm], alphabet, rows)
+
+
+def _reference_explains(tree, fm):
+    try:
+        return reference_evaluate(tree) == fm
+    except LabelConflict:
+        return False
+
+
+class TestRowTemplate:
+    """evaluate()'s row template against the per-leaf root-path walker it
+    replaced: identical rows, or the identical LabelConflict."""
+
+    @pytest.mark.parametrize(
+        "nested",
+        [("a", ("b", ("c", ("d", "e")))), (("a", "b"), ("c", ("d", "e")))],
+        ids=["caterpillar", "balanced"],
+    )
+    def test_every_labeling_of_a_five_leaf_shape(self, nested):
+        def spec(node):
+            return node if isinstance(node, str) else tuple((spec(c), NO_EVENT) for c in node)
+
+        shape = LabeledTree.build(spec(nested))
+        assert shape.n_vertices == 9
+        conflicts = 0
+        for labels in itertools.product([NO_EVENT, "1", "2"], repeat=8):
+            tree = shape.with_labels((None, *labels))
+            expected = _outcome(reference_evaluate, tree)
+            assert _outcome(evaluate, tree) == expected
+            conflicts += expected[0] == "conflict"
+        assert 0 < conflicts < 3 ** 8
+
+    def test_random_labelings_of_five_leaf_topologies(self):
+        rng = random.Random(8)
+        conflicts = 0
+        for _ in range(2000):
+            topo = TOPOLOGIES_5[rng.randrange(len(TOPOLOGIES_5))]
+            tree = random_labeling(topo, ["1", "2", "3"], rng)
+            expected = _outcome(reference_evaluate, tree)
+            assert _outcome(evaluate, tree) == expected
+            conflicts += expected[0] == "conflict"
+        assert 0 < conflicts < 2000
+
+    def test_large_trees_with_one_edge_relabelled(self):
+        rng = random.Random(64)
+        conflicts = explained = 0
+        for seed in range(50):
+            base, fm = random_tree_like_instance(seed, rng.randint(64, 300), 3)
+            labels = [base.label(v) for v in range(base.n_vertices)]
+            labels[rng.randrange(1, base.n_vertices)] = rng.choice([NO_EVENT, "1", "2", "3", "4"])
+            tree = base.with_labels(labels)
+            expected = _outcome(reference_evaluate, tree)
+            assert _outcome(evaluate, tree) == expected
+            conflicts += expected[0] == "conflict"
+            # explains() indexes its template in the map's own leaf order
+            maps = [_shuffled(fm, rng, flip=seed % 2)]
+            if expected[0] == "map":
+                maps.append(_shuffled(evaluate(tree), rng, flip=False))
+                maps.append(_shuffled(evaluate(tree), rng, flip=True))
+            for m in maps:
+                verdict = explains(tree, m)
+                assert verdict == _reference_explains(tree, m)
+                explained += verdict
+        assert 0 < conflicts < 50
+        assert explained >= 50 - conflicts

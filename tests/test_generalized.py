@@ -396,16 +396,16 @@ class TestSinglePipeline:
         # the package re-exports evaluate(), which hides the module's name
         evaluate_module = importlib.import_module("fitchmap.evaluate")
         walked = []
-        real_columns = evaluate_module._columns
+        real_rows = evaluate_module._rows
 
-        # evaluate() and explains() both walk the tree through _columns(),
-        # one column per leaf position asked for
-        def counting_columns(tree, alphabet, positions):
-            positions = list(positions)
-            walked.extend((tree, j) for j in positions)
-            return real_columns(tree, alphabet, positions)
+        # evaluate() and explains() both build rows through _rows(), one
+        # per leaf, in canonical order
+        def counting_rows(tree, alphabet, pos):
+            for j, row in enumerate(real_rows(tree, alphabet, pos)):
+                walked.append((tree, j))
+                yield row
 
-        monkeypatch.setattr(evaluate_module, "_columns", counting_columns)
+        monkeypatch.setattr(evaluate_module, "_rows", counting_rows)
         for m, tree in zip(maps, expected):
             walked.clear()
             assert recognize(m).tree == tree

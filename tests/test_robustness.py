@@ -1,7 +1,8 @@
 """Hostile-shape and fuzzing checks that sit outside the acceptance
 criteria: deep chains past the interpreter recursion limit, parser
 behavior on corrupted inputs, the cost of .fm reading and writing, the
-cost of a negative verdict and the cost of building a deep class's tree."""
+cost of a negative verdict, the cost of building a deep class's tree and
+the cost of certifying a deep tree."""
 
 import random
 import statistics
@@ -10,7 +11,7 @@ import time
 
 from conftest import caterpillar_digraph
 from fitchmap.core import NO_EVENT, FitchError, FitchMap, LabeledTree
-from fitchmap.evaluate import evaluate
+from fitchmap.evaluate import evaluate, explains
 from fitchmap.generalized import check_conditions, compute_classes, recognize
 from fitchmap.io import read_map, read_tree, write_map, write_tree
 from fitchmap.oracle import random_tree_like_instance, witness_holds
@@ -334,3 +335,28 @@ class TestDeepClassCost:
                 assert tree.n_leaves == k
                 assert max(map(tree.depth, range(tree.n_vertices))) == k - 1
         assert best[4096] / best[2048] <= 5.0
+
+
+class TestDepthIndependentCertificate:
+    def test_caterpillar_costs_what_a_random_tree_costs(self):
+        """The row template costs the same on any tree shape: explains() on a
+        2048-leaf caterpillar takes at most 3x its time on a random tree of
+        the same size, and doubling the caterpillar from 1024 to 2048 leaves
+        at most quintuples evaluate() and explains() (best of 5, interleaved)."""
+        cases = {k: least_resolved_simple(caterpillar_digraph(k)) for k in (1024, 2048)}
+        assert max(map(cases[2048].depth, range(cases[2048].n_vertices))) == 2047
+        cases = {k: (tree, evaluate(tree)) for k, tree in cases.items()}
+        cases["random"] = random_tree_like_instance(7, 2048, 8)
+        best = {(case, f): float("inf") for case in cases for f in ("evaluate", "explains")}
+        for _ in range(5):
+            for case, (tree, fmap) in cases.items():
+                t0 = time.perf_counter()
+                assert explains(tree, fmap)
+                t1 = time.perf_counter()
+                evaluate(tree)
+                t2 = time.perf_counter()
+                best[case, "explains"] = min(best[case, "explains"], t1 - t0)
+                best[case, "evaluate"] = min(best[case, "evaluate"], t2 - t1)
+        assert best[2048, "explains"] <= 3.0 * best["random", "explains"]
+        assert best[2048, "evaluate"] / best[1024, "evaluate"] <= 5.0
+        assert best[2048, "explains"] / best[1024, "explains"] <= 5.0
