@@ -4,14 +4,15 @@ A map is tree-like iff (T1) every leaf has at most one distinct incoming
 event symbol, so the per-symbol classes quasi-partition the leaf set,
 (T2) each class digraph is a simple Fitch graph, (T3) arcs into a class
 member from outside the class carry the class symbol, and (T4) members of
-the NO_EVENT class have only NO_EVENT in-arcs.  The assembled tree hangs
-each class's least-resolved subtree under the root, below an extra
-symbol edge exactly when the subtree is a single leaf or its root meets a
-NO_EVENT edge.
+the NO_EVENT class have only NO_EVENT in-arcs.  The least-resolved tree
+is one laminar hierarchy of clusters: besides the root X, each inner
+vertex is the cluster C[y] = X_m minus in(y) of a leaf y in a class X_m,
+and the edge above it carries m.  assemble() builds it in one cluster
+walk over every class.
 
-recognize() walks the symbol classes once, in alphabet order, building and
-decomposing each class digraph once: the first class that is not simple
-Fitch is the T2 witness, named from that walk's own digraph.  Otherwise the
+recognize() walks the symbol classes once, in alphabet order, building each
+class digraph once: the first class that is not simple Fitch is the T2
+witness, named from that walk's own digraph.  Otherwise the
 assembled tree is certified once with explains(); by the characterization
 theorem this passes exactly on tree-like maps, so the scan of arcs entering
 a class from outside runs only after a failed certificate, to name T3 or T4.
@@ -30,11 +31,10 @@ from .core import (
     Label,
     LabeledTree,
     QuasiPartition,
-    TreeBuilder,
     label_token,
 )
 from .evaluate import _root_paths, explains
-from .simple_fitch import Digraph, NotFitch, _decompose, _structurally_least_resolved, find_forbidden_triad
+from .simple_fitch import Digraph, NotFitch, _cluster_tree, _structurally_least_resolved, find_forbidden_triad
 from .simple_fitch import least_resolved_simple  # unused here; perfbench/spans.py wraps it, else --trace 1 hits AttributeError
 
 
@@ -175,12 +175,17 @@ def compute_classes(fmap: FitchMap) -> Union[QuasiPartition, T1Violation]:
 
 
 def _class_codes(fmap: FitchMap, classes: QuasiPartition) -> list[int]:
+    """Each leaf's class code, 0 for NO_EVENT; ValueError when the classes
+    name a symbol or a leaf that the map lacks."""
     code = {s: i + 1 for i, s in enumerate(fmap.alphabet)}
-    out = []
-    for nm in fmap.leaves:
-        lab = classes.class_of(nm)
-        out.append(0 if lab is NO_EVENT else code[lab])
-    return out
+    code[NO_EVENT] = 0
+    for lab in classes.classes:
+        if lab not in code:
+            raise ValueError(f"class symbol {lab!r} is not in the map's alphabet")
+    extra = classes.universe.difference(fmap.leaves)
+    if extra:
+        raise ValueError(f"leaf {min(extra)!r} of the classes is not in the map")
+    return [code[classes.class_of(nm)] for nm in fmap.leaves]
 
 
 def _outside_arcs(fmap: FitchMap, classes: QuasiPartition) -> Optional[Union[T3Violation, T4Violation]]:
@@ -230,40 +235,23 @@ def check_conditions(fmap: FitchMap, classes: QuasiPartition) -> Optional[Violat
 def assemble(fmap: FitchMap, classes: QuasiPartition) -> LabeledTree:
     """Assemble the least-resolved tree for a map satisfying T1 to T4.
 
-    One walk over the symbol classes, in alphabet order, builds and
-    decomposes each class digraph once.  NotFitch is raised exactly when a
-    class digraph is not simple Fitch, and carries that class's ``symbol``
-    and ``digraph``; on a map that breaks T3 or T4 the tree fails to explain
-    it.  A class of one leaf hangs that leaf, an empty class nothing.  When
-    one symbol class holds every leaf, its tree already is the answer:
-    hanging it below an extra root edge would leave that root with a single
-    child, and contracting the edge lands back on the class tree.
+    One cluster walk over the symbol classes, in alphabet order, builds the
+    whole tree; each class digraph is built once.  NotFitch is raised
+    exactly when a class digraph is not simple Fitch, and carries the first
+    such class's ``symbol`` and ``digraph``; on a map that breaks T3 or T4
+    the tree fails to explain it.
     """
     members: list[list[int]] = [[] for _ in range(len(fmap.alphabet) + 1)]
     for i, c in enumerate(_class_codes(fmap, classes)):
         members[c].append(i)
-    builder = TreeBuilder()
-    rho = builder.root()
-    for m, idx in zip(fmap.alphabet, members[1:]):
-        if len(idx) < 2:
-            for i in idx:
-                builder.child(rho, m, name=fmap.leaves[i])
-            continue
-        g = Digraph._from_code_rows(fmap.leaves, fmap._rows, idx)
-        try:
-            t_m = _decompose(g, m)
-        except NotFitch as exc:
-            exc.symbol, exc.digraph = m, g
-            raise
-        if len(idx) == fmap.n:
-            return t_m
-        if any(t_m.label(c) is NO_EVENT for c in t_m.children(t_m.root)):
-            builder.graft_children(builder.child(rho, m), t_m)
-        else:
-            builder.graft_children(rho, t_m)
-    for i in members[0]:
-        builder.child(rho, NO_EVENT, name=fmap.leaves[i])
-    return builder.freeze()
+    leaves = fmap.leaves
+    walk = [
+        # the kernel needs two members; a smaller class has no arcs
+        (m, Digraph._from_code_rows(leaves, fmap._rows, idx) if len(idx) > 1
+         else Digraph(map(leaves.__getitem__, idx), ()))
+        for m, idx in zip(fmap.alphabet, members[1:])
+    ]
+    return _cluster_tree(walk, [leaves[i] for i in members[0]])
 
 
 def recognize(fmap: FitchMap) -> RecognitionReport:

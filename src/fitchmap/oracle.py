@@ -54,11 +54,12 @@ def _set_partitions(items: tuple) -> Iterator[tuple[tuple, ...]]:
 
 @lru_cache(maxsize=None)
 def _topo_specs(leaves: tuple) -> tuple:
-    """Nested child-set specs of every phylogenetic topology on the leaves.
+    """LabeledTree.build specs of every phylogenetic topology on the
+    leaves, every edge NO_EVENT.
 
-    A spec is a leaf name or a tuple of child specs; the children leaf
-    sets of the root range over all partitions with at least two blocks,
-    so every topology arises exactly once.
+    A spec is a leaf name or a tuple of (child spec, NO_EVENT) pairs; the
+    children leaf sets of the root range over all partitions with at least
+    two blocks, so every topology arises exactly once.
     """
     if len(leaves) == 1:
         return (leaves[0],)
@@ -69,7 +70,7 @@ def _topo_specs(leaves: tuple) -> tuple:
         block_specs = [_topo_specs(tuple(sorted(b))) for b in part]
         choice = [0] * len(part)
         while True:
-            out.append(tuple(block_specs[i][choice[i]] for i in range(len(part))))
+            out.append(tuple((block_specs[i][choice[i]], NO_EVENT) for i in range(len(part))))
             for i in range(len(part) - 1, -1, -1):
                 choice[i] += 1
                 if choice[i] < len(block_specs[i]):
@@ -78,25 +79,6 @@ def _topo_specs(leaves: tuple) -> tuple:
             else:
                 break
     return tuple(out)
-
-
-def _tree_from_spec(spec) -> LabeledTree:
-    parents: list[Optional[int]] = []
-    labels: list[Optional[Label]] = []
-    names: dict[int, str] = {}
-
-    def add(node, parent: Optional[int]) -> None:
-        vid = len(parents)
-        parents.append(parent)
-        labels.append(NO_EVENT if parent is not None else None)
-        if isinstance(node, str):
-            names[vid] = node
-        else:
-            for child in node:
-                add(child, vid)
-
-    add(spec, None)
-    return LabeledTree(parents, labels, names)
 
 
 def count_topologies(n: int) -> int:
@@ -147,7 +129,7 @@ def count_topologies(n: int) -> int:
 def _spec_size(spec) -> int:
     if isinstance(spec, str):
         return 1
-    return 1 + sum(_spec_size(c) for c in spec)
+    return 1 + sum(_spec_size(c) for c, _ in spec)
 
 
 def enumerate_topologies(leaves: Iterable[str]) -> Iterator[LabeledTree]:
@@ -164,7 +146,7 @@ def enumerate_topologies(leaves: Iterable[str]) -> Iterator[LabeledTree]:
             f"topology enumeration is capped at {_MAX_ENUM_LEAVES} leaves, got {len(names)}"
         )
     for spec in sorted(_topo_specs(names), key=_spec_size):
-        yield _tree_from_spec(spec)
+        yield LabeledTree.build(spec)
 
 
 # ---------------------------------------------------------------------------

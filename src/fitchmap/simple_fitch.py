@@ -5,8 +5,9 @@ Two independent recognizers are provided.  The constructive one builds the
 least-resolved tree in one pass over the complemented in-neighbourhoods
 C[y] = V minus in(y), which form a laminar family exactly on simple Fitch
 digraphs (Geiss et al., J. Math. Biol. 2018; Hellmuth and Seemann,
-J. Math. Biol. 2019), and certifies its output by re-evaluation.  The
-triad scanner looks for a 3-subset inducing one of the forbidden 3-vertex
+J. Math. Biol. 2019), and certifies its output by re-evaluation; the
+same walk over several classes builds the generalized tree.  The triad
+scanner looks for a 3-subset inducing one of the forbidden 3-vertex
 digraphs of a machine-derived table.  It walks vertex pairs over bitmask
 rows, one bitmask expression per pair covering every third vertex, and
 returns the first forbidden triad in index order.  The two recognizers'
@@ -33,7 +34,7 @@ class NotFitch(FitchError):
     """The digraph is not explained by any single-symbol labeled tree."""
 
 
-class AlphabetTooLarge(FitchError):
+class SeveralSymbols(FitchError):
     """A tree handed to the single-symbol checker carries several symbols."""
 
 
@@ -269,64 +270,90 @@ def is_simple_fitch(g: Digraph) -> bool:
     return find_forbidden_triad(g) is None
 
 
-def _names(vs: tuple[str, ...], mask: int) -> str:
+def _names(vs: Sequence[str], mask: int) -> str:
     return "{" + ", ".join(vs[v] for v in _bits(mask)) + "}"
 
 
-def _decompose(g: Digraph, symbol: str) -> LabeledTree:
-    """The least-resolved tree of g (at least 2 vertices); NotFitch exactly
-    when g is not simple Fitch.
+def _cluster_tree(classes: Sequence[tuple[str, Digraph]], loose: Sequence[str] = ()) -> LabeledTree:
+    """The least-resolved tree over the vertices of the symbol classes,
+    given as (symbol, class digraph) pairs in walk order, and the NO_EVENT
+    leaves `loose`; NotFitch exactly when some class digraph is not simple
+    Fitch, carrying the first such class's ``symbol`` and ``digraph``.
 
-    Vertex y's cluster is C[y] = V minus in(y).  g is simple Fitch exactly
-    when the distinct C[y] form a laminar family in which each C[y] is the
-    smallest member holding y.  The tree is then that hierarchy under V:
-    a symbol edge above each C[y] other than V, and each y a NO_EVENT leaf
-    below C[y], or the leaf itself when C[y] = {y}.  Clusters are taken in
-    ascending size.  Each adopts the earlier maximal clusters at its lowest
-    uncovered bits, which must lie inside it, and the bits left over must be
-    exactly its owners, the y with that C[y].
+    The leaves share one bit space: each class takes the next contiguous
+    range, the NO_EVENT leaves the last bits.  Leaf y of class X_m has the
+    cluster C[y] = X_m minus in(y), a NO_EVENT leaf C[y] = X, the whole
+    leaf set.  The tree has a vertex for X and for each distinct C[y]; the
+    edge above C[y] carries y's symbol, and each y is a NO_EVENT leaf below
+    C[y], or the leaf itself when C[y] = {y}.  The walk takes the classes
+    in order, each class's clusters in ascending size, and X last.  Each
+    cluster adopts the earlier maximal clusters at its lowest uncovered
+    bits, which must lie inside it, and the bits left over must be exactly
+    its owners, the y with that C[y].
     """
-    vs = g.vertices
-    full = (1 << g.n) - 1
-    owners = {full: 0}
-    for y, in_y in enumerate(g._in):
-        c = full ^ in_y
-        owners[c] = owners.get(c, 0) | 1 << y
+    vs = [nm for _, g in classes for nm in g.vertices]
+    vs.extend(loose)
+    full = (1 << len(vs)) - 1
+    owners: dict[int, int] = {}
+    # clusters sort by (class, size); X, owned by a class only when that
+    # class holds every leaf, comes last
+    rank: dict[int, tuple[int, int]] = {}
+    offset = 0
+    for i, (_, g) in enumerate(classes):
+        own = (1 << g.n) - 1 << offset
+        for y, in_y in enumerate(g._in, offset):
+            c = own ^ in_y << offset
+            owners[c] = owners.get(c, 0) | 1 << y
+            rank.setdefault(c, (i, c.bit_count()))
+        offset += g.n
+    # the NO_EVENT leaves, the bits past the classes, own X
+    owners[full] = owners.get(full, 0) | full >> offset << offset
+    rank.setdefault(full, (len(classes), 0))
     parents: list[Optional[int]] = []
     labels: list = []
     names: dict[int, str] = {}
     # earlier maximal clusters by their lowest bit, as (cluster, tree vertex)
     tops: dict[int, tuple[int, int]] = {}
-    for c in sorted(owners, key=int.bit_count):
-        at = len(parents)
-        rest = loose = c
-        while rest:
-            low = rest & -rest
-            top = tops.pop(low, None)
-            if top is None:
-                rest ^= low
-            elif top[0] & ~c:
-                raise NotFitch(f"clusters {_names(vs, top[0])} and {_names(vs, c)} overlap")
+    try:
+        for c in sorted(owners, key=rank.__getitem__):
+            i = rank[c][0]
+            at = len(parents)
+            rest = left = c
+            while rest:
+                low = rest & -rest
+                top = tops.pop(low, None)
+                if top is None:
+                    rest ^= low
+                elif top[0] & ~c:
+                    raise NotFitch(f"clusters {_names(vs, top[0])} and {_names(vs, c)} overlap")
+                else:
+                    parents[top[1]] = at
+                    rest ^= top[0]
+                    left ^= top[0]
+            if left != owners[c]:
+                raise NotFitch(f"cluster {_names(vs, c)} is C[y] of {_names(vs, owners[c])},"
+                               f" but {_names(vs, left)} lie in no smaller cluster")
+            parents.append(None)
+            labels.append(None if c == full else classes[i][0])
+            if c & (c - 1):
+                for y in _bits(left):
+                    names[len(parents)] = vs[y]
+                    parents.append(at)
+                    labels.append(NO_EVENT)
             else:
-                parents[top[1]] = at
-                rest ^= top[0]
-                loose ^= top[0]
-        if loose != owners[c]:
-            raise NotFitch(f"cluster {_names(vs, c)} is C[y] of {_names(vs, owners[c])},"
-                           f" but {_names(vs, loose)} lie in no smaller cluster")
-        parents.append(None)
-        labels.append(symbol)
-        if c & (c - 1):
-            for y in _bits(loose):
-                names[len(parents)] = vs[y]
-                parents.append(at)
-                labels.append(NO_EVENT)
-        else:
-            names[at] = vs[c.bit_length() - 1]
-        tops[c & -c] = (c, at)
-    # the last cluster is V, the root
-    labels[at] = None
+                names[at] = vs[c.bit_length() - 1]
+            tops[c & -c] = (c, at)
+    except NotFitch as exc:
+        exc.symbol, exc.digraph = classes[i]
+        raise
     return LabeledTree(parents, labels, names)
+
+
+def _decompose(g: Digraph, symbol: str) -> LabeledTree:
+    """The least-resolved tree of g (at least 2 vertices), its event edges
+    carrying symbol: the cluster walk with g as its only class.  NotFitch
+    exactly when g is not simple Fitch."""
+    return _cluster_tree([(symbol, g)])
 
 
 def least_resolved_simple(g: Digraph, symbol: str = "1") -> LabeledTree:
@@ -368,7 +395,7 @@ def is_least_resolved_simple(tree: LabeledTree) -> bool:
     """Structural least-resolvedness test for single-symbol trees."""
     symbols = tree.event_symbols()
     if len(symbols) > 1:
-        raise AlphabetTooLarge(
+        raise SeveralSymbols(
             f"expected at most one event symbol, found {list(symbols)}"
         )
     return _structurally_least_resolved(tree)

@@ -26,6 +26,9 @@ from .core import (
     UnknownLeaf,
 )
 from .evaluate import evaluate
+# abstract 3-vertex digraphs are encoded as the 6-tuple of labels of the
+# ordered pairs _PAIR_ORDER, over the role alphabet {"A", "B"} plus NO_EVENT
+from .simple_fitch import _TRIAD_PAIRS as _PAIR_ORDER
 from .treeops import lca, triples_of
 from . import oracle
 
@@ -45,11 +48,6 @@ class Inconsistent(FitchError):
 
 class InconsistentInput(FitchError):
     """Closure of an inconsistent triple set was requested."""
-
-
-# abstract 3-vertex digraphs are encoded as the 6-tuple of labels of the
-# ordered pairs below, over the role alphabet {"A", "B"} plus NO_EVENT
-_PAIR_ORDER = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
 
 
 def _role_normalize(enc: tuple) -> tuple:

@@ -12,6 +12,7 @@ from fitchmap.core import (
     LabelConflict,
     LabeledTree,
     QuasiPartition,
+    TreeBuilder,
     make_fitch_map,
 )
 from fitchmap.evaluate import evaluate, explains
@@ -22,6 +23,7 @@ from fitchmap.generalized import (
     T2Violation,
     T3Violation,
     T4Violation,
+    _class_codes,
     assemble,
     check_conditions,
     compute_classes,
@@ -30,7 +32,7 @@ from fitchmap.generalized import (
     recognize_no_otimes,
 )
 from fitchmap.oracle import random_tree_like_instance, witness_holds
-from fitchmap.simple_fitch import Digraph, NotFitch
+from fitchmap.simple_fitch import Digraph, NotFitch, _decompose
 
 EXAMPLE_TREE = LabeledTree.build(
     (((("a", NO_EVENT), ("b", "2")), "2"), ("c", NO_EVENT))
@@ -81,6 +83,53 @@ def random_code_map(rng, n, n_symbols):
     for c, (i, j) in zip(codes, cells):
         rows[i][j] = c
     return FitchMap([f"L{i}" for i in range(n)], [f"s{c}" for c in codes], rows)
+
+
+def reference_assemble(fmap, classes):
+    """The assembly that the one cluster walk replaced: a least-resolved
+    tree per class, grafted under the root, below an extra symbol edge
+    exactly when the class tree's root meets a NO_EVENT edge."""
+    members = [[] for _ in range(len(fmap.alphabet) + 1)]
+    for i, c in enumerate(_class_codes(fmap, classes)):
+        members[c].append(i)
+    builder = TreeBuilder()
+    rho = builder.root()
+    for m, idx in zip(fmap.alphabet, members[1:]):
+        if len(idx) < 2:
+            for i in idx:
+                builder.child(rho, m, name=fmap.leaves[i])
+            continue
+        g = Digraph._from_code_rows(fmap.leaves, fmap._rows, idx)
+        try:
+            t_m = _decompose(g, m)
+        except NotFitch as exc:
+            exc.symbol, exc.digraph = m, g
+            raise
+        if len(idx) == fmap.n:
+            return t_m
+        if any(t_m.label(c) is NO_EVENT for c in t_m.children(t_m.root)):
+            builder.graft_children(builder.child(rho, m), t_m)
+        else:
+            builder.graft_children(rho, t_m)
+    for i in members[0]:
+        builder.child(rho, NO_EVENT, name=fmap.leaves[i])
+    return builder.freeze()
+
+
+def assembled(assemble_fn, fmap, classes):
+    """The tree, or the failing class's (symbol, digraph) on NotFitch."""
+    try:
+        return assemble_fn(fmap, classes)
+    except NotFitch as exc:
+        return exc.symbol, exc.digraph
+
+
+def reversed_alphabet(fmap):
+    """The same map with its alphabet in reverse order, codes renumbered."""
+    k = len(fmap.alphabet)
+    recode = {-1: -1, 0: 0, **{c: k + 1 - c for c in range(1, k + 1)}}
+    rows = [[recode[c] for c in row] for row in fmap._rows]
+    return FitchMap(fmap.leaves, fmap.alphabet[::-1], rows)
 
 
 class TestClassDigraphKernel:
@@ -304,6 +353,100 @@ class TestAssemble:
         assert explains(t, m)
         assert is_least_resolved_general(t)
 
+    def test_class_symbol_missing_from_map(self):
+        forged = QuasiPartition({NO_EVENT: {"c"}, "zz": {"a", "b"}})
+        for fn in (assemble, check_conditions):
+            with pytest.raises(ValueError, match="'zz'"):
+                fn(EXAMPLE_MAP, forged)
+
+    def test_class_leaf_missing_from_map(self):
+        forged = QuasiPartition({NO_EVENT: {"c", "d"}, "2": {"a", "b"}})
+        for fn in (assemble, check_conditions):
+            with pytest.raises(ValueError, match="'d'"):
+                fn(EXAMPLE_MAP, forged)
+
+
+class TestAssembleMatchesReference:
+    """assemble() builds the whole tree in one cluster walk; it must give
+    the tree that the per-class assembly gave, or NotFitch naming the same
+    class."""
+
+    @staticmethod
+    def check(fmap, classes=None):
+        """Compare on fmap; returns the outcome, or None for a T1 map."""
+        classes = compute_classes(fmap) if classes is None else classes
+        if isinstance(classes, T1Violation):
+            return None
+        got = assembled(assemble, fmap, classes)
+        assert got == assembled(reference_assemble, fmap, classes)
+        return got
+
+    def test_all_three_leaf_maps(self):
+        names = ["a", "b", "c"]
+        cells = [(x, y) for x in names for y in names if x != y]
+        outcomes = []
+        for labels in product((NO_EVENT, "1", "2"), repeat=len(cells)):
+            m = make_fitch_map(names, dict(zip(cells, labels)))
+            outcomes.append(self.check(m))
+            for s in m.alphabet:
+                # forged: one class holds every leaf
+                outcomes.append(self.check(m, QuasiPartition({NO_EVENT: (), s: names})))
+        assert sum(isinstance(o, LabeledTree) for o in outcomes) > 0
+        assert sum(isinstance(o, tuple) for o in outcomes) > 0
+
+    def test_random_and_mutated_maps(self):
+        rng = random.Random(909)
+        seen = {"tree": 0, "not-fitch": 0, "whole-map class": 0, "singleton class": 0}
+        for seed in range(240):
+            n_symbols = seed % 7
+            _, fm = random_tree_like_instance(seed, rng.randrange(2, 25), n_symbols)
+            maps = [fm]
+            entries = dict(fm.pairs())
+            for flips in (1, 2, 3):
+                mutated = dict(entries)
+                for pair in rng.sample(sorted(entries), min(flips, len(entries))):
+                    mutated[pair] = rng.choice((NO_EVENT, *fm.alphabet))
+                maps.append(make_fitch_map(fm.leaves, mutated))
+            for m in maps + [reversed_alphabet(m) for m in maps]:
+                classes = compute_classes(m)
+                got = self.check(m, classes)
+                if got is None:
+                    continue
+                seen["tree" if isinstance(got, LabeledTree) else "not-fitch"] += 1
+                sizes = {len(members) for lab, members in classes.classes.items() if lab is not NO_EVENT}
+                seen["whole-map class"] += m.n in sizes
+                seen["singleton class"] += 1 in sizes
+        assert min(seen.values()) >= 20, seen
+
+    def test_whole_map_class(self):
+        # one class holds every leaf of a tree-like map; forged classes can
+        # also put a leaf without in-arcs into it, and that leaf owns X
+        tree_like = evaluate(LabeledTree.build((((("a", NO_EVENT), ("b", "1")), "1"), ("c", "1"))))
+        star = evaluate(LabeledTree.build((("a", NO_EVENT), ((("b", NO_EVENT), ("c", "1")), "1"))))
+        assert isinstance(self.check(tree_like), LabeledTree)
+        assert isinstance(self.check(star, QuasiPartition({NO_EVENT: (), "1": "abc"})), LabeledTree)
+
+    def test_forged_empty_class(self):
+        m = make_fitch_map(["a", "b"], {("a", "b"): "1", ("b", "a"): NO_EVENT})
+        forged = QuasiPartition({NO_EVENT: {"a", "b"}, "1": set()})
+        assert isinstance(self.check(m, forged), LabeledTree)
+
+    def test_recognize_constructs_one_tree(self, monkeypatch):
+        # several classes of two or more leaves, and NO_EVENT leaves
+        _, m = random_tree_like_instance(5, 40, 4)
+        sizes = [len(members) for members in compute_classes(m).classes.values()]
+        assert sum(size >= 2 for size in sizes) >= 3
+        real_init = LabeledTree.__init__
+        made = []
+
+        def counting_init(self, *args, **kwargs):
+            made.append(1)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(LabeledTree, "__init__", counting_init)
+        assert recognize(m).tree_like
+        assert len(made) == 1
+
 
 class TestIsLeastResolvedGeneral:
     def test_star_is_least_resolved(self):
@@ -416,16 +559,18 @@ class TestSinglePipeline:
         rng = random.Random(311)
         dead_ends = uncertified = 0
         real_build = Digraph._from_code_rows
-        real_decompose = fitchmap.generalized._decompose
+        real_walk = fitchmap.generalized._cluster_tree
         built, decomposed = [], []
 
         def counting_build(cls, names, rows, idx):
             built.append(tuple(idx))
             return real_build(names, rows, idx)
 
-        def counting_decompose(g, symbol):
-            decomposed.append(g.vertices)
-            return real_decompose(g, symbol)
+        def counting_walk(classes, loose=()):
+            # one entry per class of two or more leaves, whose digraph the
+            # kernel built; a smaller class has no arcs to walk
+            decomposed.extend(g.vertices for _, g in classes if g.n > 1)
+            return real_walk(classes, loose)
 
         def second_pipeline(*args, **kwargs):
             raise AssertionError("a negative verdict ran a second pipeline")
@@ -448,7 +593,7 @@ class TestSinglePipeline:
             decomposed.clear()
             with monkeypatch.context() as mp:
                 mp.setattr(Digraph, "_from_code_rows", classmethod(counting_build))
-                mp.setattr(fitchmap.generalized, "_decompose", counting_decompose)
+                mp.setattr(fitchmap.generalized, "_cluster_tree", counting_walk)
                 for name in ("check_conditions", "least_resolved_simple"):
                     mp.setattr(fitchmap.generalized, name, second_pipeline)
                 mp.setattr(fitchmap.simple_fitch, "evaluate", second_pipeline)

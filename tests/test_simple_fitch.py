@@ -13,9 +13,9 @@ from fitchmap.oracle import (
     random_tree_like_instance,
 )
 from fitchmap.simple_fitch import (
-    AlphabetTooLarge,
     Digraph,
     NotFitch,
+    SeveralSymbols,
     _bits,
     _decompose,
     derive_forbidden_table,
@@ -374,7 +374,7 @@ class TestIsLeastResolvedSimple:
 
     def test_two_symbols_rejected(self):
         t = LabeledTree.build((("a", "1"), ("b", "2")))
-        with pytest.raises(AlphabetTooLarge):
+        with pytest.raises(SeveralSymbols):
             is_least_resolved_simple(t)
 
 
