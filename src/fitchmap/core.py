@@ -13,6 +13,7 @@ makes equality, hashing and topology comparison trivial.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 
@@ -605,7 +606,8 @@ class FitchMap:
 
     Internally the entries live in an n x n code matrix: 0 is NO_EVENT,
     code i >= 1 is alphabet[i-1], and the diagonal holds -1.  The alphabet
-    is always exactly the set of symbols that occur (surjectivity).
+    is always exactly the set of symbols that occur (surjectivity).  Only
+    this class knows the storage; others call _row, _columns, _arc_masks.
     """
 
     __slots__ = ("leaves", "alphabet", "_index", "_rows")
@@ -625,6 +627,26 @@ class FitchMap:
 
     def decode(self, code: int) -> Label:
         return NO_EVENT if code == 0 else self.alphabet[code - 1]
+
+    def _row(self, i: int) -> Sequence[int]:
+        """Row i's codes, -1 at i: the stored row, which callers must not change."""
+        return self._rows[i]
+
+    def _columns(self) -> Iterator[Sequence[int]]:
+        """Each column's codes in turn, -1 on the diagonal."""
+        return zip(*self._rows)
+
+    def _arc_masks(self, idx: Sequence[int]) -> tuple[list[int], list[int]]:
+        """Out- and in-masks of the digraph on idx (at least two leaves), with
+        arc a->b where entry (idx[a], idx[b]) is a symbol.  The submatrix, axes
+        reversed, is one "0"/"1" byte string read by int(..., 2) per row and column."""
+        k = len(idx)
+        pick = itemgetter(*reversed(idx))
+        mat = b"".join([bytes(map((0).__lt__, pick(self._rows[i]))) for i in reversed(idx)])
+        mat = mat.translate(bytes.maketrans(b"\x00\x01", b"01"))
+        out = [int(mat[r:r + k], 2) for r in range(k * k - k, -1, -k)]
+        in_ = [int(mat[c::k], 2) for c in range(k - 1, -1, -1)]
+        return out, in_
 
     def label(self, x: str, y: str) -> Label:
         try:

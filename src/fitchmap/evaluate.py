@@ -8,7 +8,7 @@ all of them, whatever the tree's shape:
 - pass 1 (_root_paths), in preorder: each vertex inherits its root path's
   symbol, its lowest event vertex and the deepest event vertex above that
   one with another label; a leaf that has the last is a LabelConflict;
-- pass 2 (_rows), one DFS over one length-n template that starts as each
+- pass 2 (_templates), one DFS over one length-n template that starts as each
   leaf's symbol: entering v zeroes the leaves whose lowest event vertex is
   v, leaving v restores them, and at leaf x the template is row x but for
   the diagonal.
@@ -37,7 +37,7 @@ def evaluate(tree: LabeledTree) -> FitchMap:
     two distinct symbols, i.e. when the tree explains no map at all.
     """
     alphabet = tree.event_symbols()
-    rows = [t[:] for t in _rows(tree, alphabet, range(tree.n_leaves))]
+    rows = [t[:] for t in _templates(tree, alphabet, range(tree.n_leaves))]
     for i, row in enumerate(rows):
         row[i] = -1
     # every edge lies on some lca-path, so a successful evaluation
@@ -91,7 +91,7 @@ def _root_paths(tree: LabeledTree, alphabet):
     return sym, low
 
 
-def _rows(tree: LabeledTree, alphabet, pos):
+def _templates(tree: LabeledTree, alphabet, pos):
     """Pass 2: yield one template per leaf x, in canonical order, equal to
     row x of the map but for its diagonal entry; the leaf at canonical
     position j has entry pos[j].  The template is one list, changed in
@@ -151,13 +151,12 @@ def explains(tree: LabeledTree, fmap: FitchMap) -> bool:
     # coded by fmap's alphabet; a symbol fmap lacks is coded past it
     alphabet = fmap.alphabet + tuple(sorted(set(tree.event_symbols()) - set(fmap.alphabet)))
     pos = [fmap._index[nm] for nm in tree.leaf_names]
-    rows = fmap._rows
     try:
-        for i, template in zip(pos, _rows(tree, alphabet, pos)):
+        for i, template in zip(pos, _templates(tree, alphabet, pos)):
             # a leaf's own entry is 0 at its row: the leaf lies below its
             # lowest event vertex, or has none and so no symbol
             template[i] = -1
-            if template != rows[i]:
+            if template != fmap._row(i):
                 return False
             template[i] = 0
     except LabelConflict:

@@ -156,11 +156,10 @@ def compute_classes(fmap: FitchMap) -> Union[QuasiPartition, T1Violation]:
     A leaf with two distinct incoming symbols belongs to no class, which is
     exactly a T1 failure; the first such leaf (in map order) is returned.
     """
-    rows = fmap._rows
     classes: dict[Label, list[str]] = {NO_EVENT: []}
     for s in fmap.alphabet:
         classes[s] = []
-    for j, col in enumerate(zip(*rows)):
+    for j, col in enumerate(fmap._columns()):
         seen = set(col)
         seen.discard(0)
         seen.discard(-1)
@@ -195,10 +194,10 @@ def _outside_arcs(fmap: FitchMap, classes: QuasiPartition) -> Optional[Union[T3V
     the NO_EVENT class last, then x, then y.  Columns are checked by C-level
     counts; only the failing column named is searched for y."""
     codes = _class_codes(fmap, classes)
-    n, rows = fmap.n, fmap._rows
+    n = fmap.n
     outside: dict[int, bytes] = {}
     bad = []
-    for x, col in enumerate(zip(*rows)):
+    for x, col in enumerate(fmap._columns()):
         c = codes[x]
         if c not in outside:
             # every other leaf is outside a NO_EVENT leaf's class; the -1
@@ -211,8 +210,8 @@ def _outside_arcs(fmap: FitchMap, classes: QuasiPartition) -> Optional[Union[T3V
         return None
     x = min(bad, key=lambda x: (codes[x] == 0, codes[x], x))
     c = codes[x]
-    y = next(y for y in range(n) if y != x and (c == 0 or codes[y] != c) and rows[y][x] != c)
-    found = fmap.decode(rows[y][x])
+    y = next(y for y in range(n) if y != x and (c == 0 or codes[y] != c) and fmap._row(y)[x] != c)
+    found = fmap.decode(fmap._row(y)[x])
     if c == 0:
         return T4Violation(fmap.leaves[x], fmap.leaves[y], found)
     return T3Violation(fmap.leaves[x], fmap.leaves[y], fmap.alphabet[c - 1], found)
@@ -247,8 +246,8 @@ def assemble(fmap: FitchMap, classes: QuasiPartition) -> LabeledTree:
     leaves = fmap.leaves
     walk = [
         # the kernel needs two members; a smaller class has no arcs
-        (m, Digraph._from_code_rows(leaves, fmap._rows, idx) if len(idx) > 1
-         else Digraph(map(leaves.__getitem__, idx), ()))
+        (m, Digraph._from_masks(tuple(map(leaves.__getitem__, idx)), *fmap._arc_masks(idx))
+         if len(idx) > 1 else Digraph(map(leaves.__getitem__, idx), ()))
         for m, idx in zip(fmap.alphabet, members[1:])
     ]
     return _cluster_tree(walk, [leaves[i] for i in members[0]])

@@ -24,7 +24,6 @@ from .core import (
     LabeledTree,
     NonPhylogenetic,
     ReservedToken,
-    TreeBuilder,
     check_token,
     make_fitch_map,  # unused here; perfbench/spans.py wraps it, else --trace 1 hits AttributeError
 )
@@ -115,7 +114,7 @@ def read_map(text: str) -> FitchMap:
 
 def write_map(fmap: FitchMap) -> str:
     tokens = ("-", *fmap.alphabet, ".")  # code c is tokens[c]; the diagonal's -1 is '.'
-    rows = ("\t".join([tokens[c] for c in row]) for row in fmap._rows)
+    rows = ("\t".join([tokens[c] for c in fmap._row(i)]) for i in range(fmap.n))
     return "\n".join([_MAP_HEADER, "\t".join(fmap.leaves), *rows]) + "\n"
 
 
@@ -161,7 +160,9 @@ class _Scanner:
 
 def read_tree(text: str) -> LabeledTree:
     sc = _Scanner(text)
-    builder = TreeBuilder()
+    parents: list[Optional[int]] = [None]
+    labels: list[Optional[Label]] = [None]
+    names: dict[int, str] = {}
 
     def checked_token(what: str) -> str:
         start = sc.pos
@@ -187,19 +188,22 @@ def read_tree(text: str) -> LabeledTree:
     # depth never touches the interpreter recursion limit
     if sc.peek() != "(":
         # a bare leaf parses but cannot form a phylogenetic tree
-        builder._names[builder.root()] = checked_token("a leaf name or '('")
+        names[0] = checked_token("a leaf name or '('")
     else:
         sc.take("(")
-        stack = [builder.root()]
+        stack = [0]
         while stack:
             # one child node of the innermost open group
             if sc.peek() == "(":
                 sc.take("(")
-                stack.append(builder.child(stack[-1], NO_EVENT))
+                parents.append(stack[-1])
+                labels.append(NO_EVENT)  # until the group closes
+                stack.append(len(parents) - 1)
                 continue
-            vid = builder.child(stack[-1], NO_EVENT, name=checked_token("a leaf name"))
+            names[len(parents)] = checked_token("a leaf name")
+            parents.append(stack[-1])
             sc.take(":")
-            builder._labels[vid] = parse_label()
+            labels.append(parse_label())
             # the child is complete: a ',' starts a sibling, each ')'
             # closes a group which then receives its own label
             closing = True
@@ -214,14 +218,14 @@ def read_tree(text: str) -> LabeledTree:
                         closing = False
                     else:
                         sc.take(":")
-                        builder._labels[closed] = parse_label()
+                        labels[closed] = parse_label()
                 else:
                     found = sc.peek() or "end of input"
                     raise sc.error(f"expected ',' or ')', found {found!r}")
     sc.take(";")
     if sc.text[sc.pos:].strip():
         raise sc.error("trailing content after ';'")
-    return builder.freeze()
+    return LabeledTree(parents, labels, names)
 
 
 def write_tree(tree: LabeledTree) -> str:

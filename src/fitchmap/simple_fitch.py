@@ -6,7 +6,8 @@ least-resolved tree in one pass over the complemented in-neighbourhoods
 C[y] = V minus in(y), which form a laminar family exactly on simple Fitch
 digraphs (Geiss et al., J. Math. Biol. 2018; Hellmuth and Seemann,
 J. Math. Biol. 2019), and certifies its output by re-evaluation; the
-same walk over several classes builds the generalized tree.  The triad
+same walk over several classes, whose digraphs FitchMap._arc_masks
+reads off the map, builds the generalized tree.  The triad
 scanner looks for a 3-subset inducing one of the forbidden 3-vertex
 digraphs of a machine-derived table.  It walks vertex pairs over bitmask
 rows, one bitmask expression per pair covering every third vertex, and
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations, product
-from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .core import (
@@ -77,20 +77,6 @@ class Digraph:
         object.__setattr__(g, "_out", out)
         object.__setattr__(g, "_in", in_)
         return g
-
-    @classmethod
-    def _from_code_rows(cls, names: Sequence[str], rows: list[list[int]], idx: list[int]) -> "Digraph":
-        """Digraph on names[i], i in idx (at least two), with arc a->b where
-        rows[idx[a]][idx[b]] > 0; rows holds -1 on its diagonal.  The submatrix, axes
-        reversed, is one "0"/"1" byte string read by int(..., 2) per row and column."""
-        vs = tuple(map(names.__getitem__, idx))
-        k = len(idx)
-        pick = itemgetter(*reversed(idx))
-        mat = b"".join([bytes(map((0).__lt__, pick(rows[i]))) for i in reversed(idx)])
-        mat = mat.translate(bytes.maketrans(b"\x00\x01", b"01"))
-        out = [int(mat[r:r + k], 2) for r in range(k * k - k, -1, -k)]
-        in_ = [int(mat[c::k], 2) for c in range(k - 1, -1, -1)]
-        return cls._from_masks(vs, out, in_)
 
     @property
     def n(self) -> int:
@@ -371,7 +357,7 @@ def least_resolved_simple(g: Digraph, symbol: str = "1") -> LabeledTree:
     tree = _decompose(g, symbol)
     fm = evaluate(tree)
     perm = [fm._index[nm] for nm in g.vertices]
-    if Digraph._from_code_rows(fm.leaves, fm._rows, perm)._out != g._out:
+    if fm._arc_masks(perm)[0] != g._out:
         raise NotFitch("constructed tree does not evaluate back to the digraph")
     return tree
 

@@ -147,7 +147,7 @@ def derive_informative_patterns() -> InformativePatternTable:
 def informative_triples(fmap: FitchMap) -> TripleSet:
     """Triples forced by 3-vertex induced subgraphs with a unique explainer."""
     table = derive_informative_patterns()
-    rows = fmap._rows
+    rows = [fmap._row(i) for i in range(fmap.n)]
     leaves = fmap.leaves
     out = []
     for idx in combinations(range(fmap.n), 3):

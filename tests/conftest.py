@@ -110,6 +110,26 @@ def random_labeling(tree: LabeledTree, alphabet, rng: random.Random) -> LabeledT
     return tree.with_labels(labels)
 
 
+def code_rows(fmap: FitchMap) -> list[list[int]]:
+    """A copy of the map's code matrix, read row by row through FitchMap._row."""
+    return [list(fmap._row(i)) for i in range(fmap.n)]
+
+
+def random_code_map(rng: random.Random, n: int, n_symbols: int) -> FitchMap:
+    """Random code matrix over n leaves, every symbol code present."""
+    codes = list(range(1, n_symbols + 1))
+    p = rng.random()
+    rows = [
+        [-1 if i == j else (rng.choice(codes) if rng.random() < p else 0) for j in range(n)]
+        for i in range(n)
+    ]
+    # surjectivity: each code once on the first off-diagonal cells
+    cells = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for c, (i, j) in zip(codes, cells):
+        rows[i][j] = c
+    return FitchMap([f"L{i}" for i in range(n)], [f"s{c}" for c in codes], rows)
+
+
 def caterpillar_digraph(k: int) -> Digraph:
     """Simple Fitch digraph on z0..z{k-1} with in(z_i) = {z_0, ..., z_{i-1}},
     built straight from masks.  Its least-resolved tree is a caterpillar:

@@ -1,7 +1,12 @@
 import pickle
+import random
+import re
+from pathlib import Path
 
 import pytest
 
+import fitchmap.core
+from conftest import code_rows, random_code_map
 from fitchmap.core import (
     NO_EVENT,
     DuplicateLeaf,
@@ -209,3 +214,28 @@ class TestQuasiPartition:
         assert qp.class_of("c") is NO_EVENT
         assert qp.universe == frozenset("abc")
         assert qp.members("1") == frozenset("ab")
+
+
+class TestCodeMatrixAccessors:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rows_and_columns_read_the_map(self, seed):
+        fmap = random_code_map(random.Random(seed), 140, 2 * 140 - 2)
+        rows = code_rows(fmap)
+        assert max(map(max, rows)) > 255
+        for i, x in enumerate(fmap.leaves):
+            assert fmap._row(i)[i] == -1
+            for j, y in enumerate(fmap.leaves):
+                if i != j:
+                    assert fmap.decode(fmap._row(i)[j]) == fmap.label(x, y)
+        assert [list(col) for col in fmap._columns()] == [list(col) for col in zip(*rows)]
+
+    def test_only_core_reads_the_code_matrix(self):
+        # the storage of the code matrix is FitchMap's alone
+        package = Path(fitchmap.core.__file__).parent
+        hits = [
+            f"{path.name}:{lineno}"
+            for path in sorted(package.glob("*.py")) if path.name != "core.py"
+            for lineno, line in enumerate(path.read_text().splitlines(), 1)
+            if re.search(r"\._rows\b", line)
+        ]
+        assert hits == []

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_evaluate, random_labeling, reference_evaluate
+from conftest import code_rows, naive_evaluate, random_labeling, reference_evaluate
 from fitchmap.core import (
     NO_EVENT,
     FitchMap,
@@ -187,7 +187,7 @@ def _outcome(evaluator, tree):
         fm = evaluator(tree)
     except LabelConflict as e:
         return ("conflict", str(e), e.witness, e.symbols)
-    return ("map", fm.leaves, fm.alphabet, fm._rows)
+    return ("map", fm.leaves, fm.alphabet, code_rows(fm))
 
 
 def _shuffled(fm, rng, flip):
@@ -198,7 +198,7 @@ def _shuffled(fm, rng, flip):
     alphabet = list(fm.alphabet)
     rng.shuffle(alphabet)
     recode = {-1: -1, 0: 0, **{c + 1: alphabet.index(s) + 1 for c, s in enumerate(fm.alphabet)}}
-    rows = [[recode[fm._rows[i][j]] for j in perm] for i in perm]
+    rows = [[recode[fm._row(i)[j]] for j in perm] for i in perm]
     if flip:
         i, j = rng.sample(range(fm.n), 2)
         rows[i][j] = rng.choice([c for c in range(len(alphabet) + 1) if c != rows[i][j]])

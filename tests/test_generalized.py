@@ -6,6 +6,7 @@ import pytest
 
 import fitchmap.generalized
 import fitchmap.simple_fitch
+from conftest import code_rows, random_code_map
 from fitchmap.core import (
     NO_EVENT,
     FitchMap,
@@ -55,9 +56,9 @@ def column_constant_map(assignment):
 
 
 def reference_class_digraph(fmap, member_idx):
-    """The per-entry class digraph build that Digraph._from_code_rows
+    """The per-entry class digraph build that the kernel FitchMap._arc_masks
     replaced; the kernel must give exactly its vertices and masks."""
-    rows = fmap._rows
+    rows = code_rows(fmap)
     vs = tuple(fmap.leaves[i] for i in member_idx)
     rev = list(reversed(member_idx))
     out = []
@@ -68,21 +69,6 @@ def reference_class_digraph(fmap, member_idx):
     for gj in member_idx:
         in_.append(int("".join("1" if rows[gi][gj] > 0 and gi != gj else "0" for gi in rev), 2))
     return Digraph._from_masks(vs, out, in_)
-
-
-def random_code_map(rng, n, n_symbols):
-    """Random code matrix over n leaves, every symbol code present."""
-    codes = list(range(1, n_symbols + 1))
-    p = rng.random()
-    rows = [
-        [-1 if i == j else (rng.choice(codes) if rng.random() < p else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    # surjectivity: each code once on the first off-diagonal cells
-    cells = [(i, j) for i in range(n) for j in range(n) if i != j]
-    for c, (i, j) in zip(codes, cells):
-        rows[i][j] = c
-    return FitchMap([f"L{i}" for i in range(n)], [f"s{c}" for c in codes], rows)
 
 
 def reference_assemble(fmap, classes):
@@ -99,7 +85,7 @@ def reference_assemble(fmap, classes):
             for i in idx:
                 builder.child(rho, m, name=fmap.leaves[i])
             continue
-        g = Digraph._from_code_rows(fmap.leaves, fmap._rows, idx)
+        g = class_digraph(fmap, idx)
         try:
             t_m = _decompose(g, m)
         except NotFitch as exc:
@@ -116,6 +102,11 @@ def reference_assemble(fmap, classes):
     return builder.freeze()
 
 
+def class_digraph(fmap, idx):
+    """The digraph on the members idx as assemble() builds it."""
+    return Digraph._from_masks(tuple(fmap.leaves[i] for i in idx), *fmap._arc_masks(idx))
+
+
 def assembled(assemble_fn, fmap, classes):
     """The tree, or the failing class's (symbol, digraph) on NotFitch."""
     try:
@@ -128,17 +119,17 @@ def reversed_alphabet(fmap):
     """The same map with its alphabet in reverse order, codes renumbered."""
     k = len(fmap.alphabet)
     recode = {-1: -1, 0: 0, **{c: k + 1 - c for c in range(1, k + 1)}}
-    rows = [[recode[c] for c in row] for row in fmap._rows]
+    rows = [[recode[c] for c in row] for row in code_rows(fmap)]
     return FitchMap(fmap.leaves, fmap.alphabet[::-1], rows)
 
 
 class TestClassDigraphKernel:
-    """Digraph._from_code_rows, which builds every class digraph and the
+    """FitchMap._arc_masks, which builds every class digraph and the
     self-check's digraph, against the per-entry build it replaced."""
 
     @staticmethod
     def assert_matches(fmap, member_idx):
-        got = Digraph._from_code_rows(fmap.leaves, fmap._rows, member_idx)
+        got = class_digraph(fmap, member_idx)
         want = reference_class_digraph(fmap, member_idx)
         assert (got.vertices, got._out, got._in) == (want.vertices, want._out, want._in)
 
@@ -176,7 +167,7 @@ class TestClassDigraphKernel:
         rng = random.Random(7)
         n = 150
         fmap = random_code_map(rng, n, 2 * n - 2)
-        assert max(map(max, fmap._rows)) > 255
+        assert max(map(max, code_rows(fmap))) > 255
         everyone = list(range(n))
         self.assert_matches(fmap, everyone)
         self.assert_matches(fmap, sorted(rng.sample(everyone, 70)))
@@ -539,16 +530,16 @@ class TestSinglePipeline:
         # the package re-exports evaluate(), which hides the module's name
         evaluate_module = importlib.import_module("fitchmap.evaluate")
         walked = []
-        real_rows = evaluate_module._rows
+        real_templates = evaluate_module._templates
 
-        # evaluate() and explains() both build rows through _rows(), one
-        # per leaf, in canonical order
-        def counting_rows(tree, alphabet, pos):
-            for j, row in enumerate(real_rows(tree, alphabet, pos)):
+        # evaluate() and explains() both build rows through _templates(),
+        # one per leaf, in canonical order
+        def counting_templates(tree, alphabet, pos):
+            for j, row in enumerate(real_templates(tree, alphabet, pos)):
                 walked.append((tree, j))
                 yield row
 
-        monkeypatch.setattr(evaluate_module, "_rows", counting_rows)
+        monkeypatch.setattr(evaluate_module, "_templates", counting_templates)
         for m, tree in zip(maps, expected):
             walked.clear()
             assert recognize(m).tree == tree
@@ -558,13 +549,13 @@ class TestSinglePipeline:
     def test_failure_witnesses_match_check_conditions(self, monkeypatch):
         rng = random.Random(311)
         dead_ends = uncertified = 0
-        real_build = Digraph._from_code_rows
+        real_build = FitchMap._arc_masks
         real_walk = fitchmap.generalized._cluster_tree
         built, decomposed = [], []
 
-        def counting_build(cls, names, rows, idx):
+        def counting_build(fmap, idx):
             built.append(tuple(idx))
-            return real_build(names, rows, idx)
+            return real_build(fmap, idx)
 
         def counting_walk(classes, loose=()):
             # one entry per class of two or more leaves, whose digraph the
@@ -592,7 +583,7 @@ class TestSinglePipeline:
             built.clear()
             decomposed.clear()
             with monkeypatch.context() as mp:
-                mp.setattr(Digraph, "_from_code_rows", classmethod(counting_build))
+                mp.setattr(FitchMap, "_arc_masks", counting_build)
                 mp.setattr(fitchmap.generalized, "_cluster_tree", counting_walk)
                 for name in ("check_conditions", "least_resolved_simple"):
                     mp.setattr(fitchmap.generalized, name, second_pipeline)

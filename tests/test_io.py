@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import code_rows
 from fitchmap.core import (
     NO_EVENT,
     DuplicateLeafName,
@@ -217,7 +218,7 @@ def outcome(read, text):
         m = read(text)
     except FitchError as e:
         return type(e), str(e)
-    return m.leaves, m.alphabet, m._rows
+    return m.leaves, m.alphabet, code_rows(m)
 
 
 class TestReaderAgainstReference:
@@ -246,4 +247,4 @@ class TestReaderAgainstReference:
     def test_alphabet_is_sorted(self):
         m = read_map("#fitchmap v1\na\tb\tc\n.\tz\t10\n9\t.\tz\n-\t10\t.\n")
         assert m.alphabet == ("10", "9", "z")
-        assert m._rows == [[-1, 3, 1], [2, -1, 3], [0, 1, -1]]
+        assert code_rows(m) == [[-1, 3, 1], [2, -1, 3], [0, 1, -1]]

@@ -9,7 +9,7 @@ import statistics
 import sys
 import time
 
-from conftest import caterpillar_digraph
+from conftest import caterpillar_digraph, code_rows
 from fitchmap.core import NO_EVENT, FitchError, FitchMap, LabeledTree
 from fitchmap.evaluate import evaluate, explains
 from fitchmap.generalized import check_conditions, compute_classes, recognize
@@ -227,7 +227,7 @@ def _late_flip_t2_map(seed: int, n: int):
     rng = random.Random(seed)
     k = n - n // 16
     _, sub = random_tree_like_instance(seed, k, 1)
-    rows = [row + [0] * (n - k) for row in sub._rows]
+    rows = [row + [0] * (n - k) for row in code_rows(sub)]
     rows += [[1] * k + [-1 if x == y else 0 for y in range(k, n)] for x in range(k, n)]
     x, y = rng.sample(range(k - 8, k), 2)
     rows[x][y] = 1 - rows[x][y]
@@ -290,7 +290,7 @@ def _late_flip_t3_map(seed: int, n: int):
     members = compute_classes(fm).members(fm.alphabet[-1])
     x = max(map(fm._index.__getitem__, members))
     code = len(fm.alphabet)
-    rows = [list(row) for row in fm._rows]
+    rows = code_rows(fm)
     sources = [y for y in range(n) if rows[y][x] == code and fm.leaves[y] not in members]
     rows[rng.choice(sources)][x] = 0
     return FitchMap(fm.leaves, fm.alphabet, rows)
@@ -315,6 +315,47 @@ class TestNegativeVerdictT3Cost:
         for fmap in maps[512] + maps[1024]:
             reason = recognize(fmap).reason
             assert reason == check_conditions(fmap, compute_classes(fmap))
+            assert witness_holds(fmap, reason)
+        medians = {n: statistics.median(ts) for n, ts in best.items()}
+        assert medians[1024] < 5.0
+        assert medians[1024] / medians[512] <= 5.0
+
+
+def _late_flip_t1_map(seed: int, n: int):
+    """A random tree-like map with a second symbol on one arc into the last
+    leaf, in map order, that has a class symbol, on a NO_EVENT arc if it has
+    one: that leaf is the only T1 leaf, and the last column the class scan reads."""
+    rng = random.Random(seed)
+    _, fm = random_tree_like_instance(seed, n, 8)
+    classes = compute_classes(fm)
+    x = max(i for i, nm in enumerate(fm.leaves) if classes.class_of(nm) is not NO_EVENT)
+    c = fm.alphabet.index(classes.class_of(fm.leaves[x])) + 1
+    rows = code_rows(fm)
+    others = [y for y in range(n) if y != x]
+    y = rng.choice([y for y in others if rows[y][x] == 0] or others)
+    rows[y][x] = rng.choice([d for d in range(1, len(fm.alphabet) + 1) if d != c])
+    return FitchMap(fm.leaves, fm.alphabet, rows)
+
+
+class TestNegativeVerdictT1Cost:
+    def test_late_t1_witness_is_quadratic(self):
+        """Late-flip T1 maps: doubling n at most quintuples the median
+        recognize() time (5 maps per size, each map's best of 3 runs, sizes
+        interleaved), n=1024 stays under 5 s, and the witness is the one
+        compute_classes() names and holds on the map."""
+        maps = {n: [_late_flip_t1_map(90_000 + r, n) for r in range(5)] for n in (512, 1024)}
+        best = {n: [float("inf")] * 5 for n in maps}
+        for _ in range(3):
+            for r in range(5):
+                for n in maps:
+                    fmap = maps[n][r]
+                    t0 = time.perf_counter()
+                    report = recognize(fmap)
+                    best[n][r] = min(best[n][r], time.perf_counter() - t0)
+                    assert not report.tree_like and report.reason.kind == "T1"
+        for fmap in maps[512] + maps[1024]:
+            reason = recognize(fmap).reason
+            assert reason == compute_classes(fmap)
             assert witness_holds(fmap, reason)
         medians = {n: statistics.median(ts) for n, ts in best.items()}
         assert medians[1024] < 5.0
