@@ -13,7 +13,10 @@ makes equality, hashing and topology comparison trivial.
 
 from __future__ import annotations
 
+from array import array
+from functools import lru_cache
 from operator import itemgetter
+from sys import byteorder
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 
@@ -601,22 +604,63 @@ class TreeBuilder:
 # maps on ordered leaf pairs
 # ---------------------------------------------------------------------------
 
+def _code_array(size: int) -> array:
+    """An empty code array for an alphabet of `size` symbols: the smallest
+    signed typecode that holds every code from -1 to size."""
+    for typecode in "bhi":
+        if size < 1 << 8 * array(typecode).itemsize - 1:
+            return array(typecode)
+    return array("q")
+
+
+def _item(codes: array, code: int) -> bytes:
+    """The bytes of one code as an item of the code array `codes`; a row
+    built as the join of its items goes in with one frombytes."""
+    return code.to_bytes(codes.itemsize, byteorder, signed=True)
+
+
+@lru_cache(maxsize=256)
+def _equal_to(byte: int) -> bytes:
+    """Translate table taking `byte` to b"1" and every other byte to b"0"."""
+    return b"0" * byte + b"1" + b"0" * (255 - byte)
+
+
 class FitchMap:
     """A total map from ordered distinct leaf pairs to labels.
 
-    Internally the entries live in an n x n code matrix: 0 is NO_EVENT,
-    code i >= 1 is alphabet[i-1], and the diagonal holds -1.  The alphabet
-    is always exactly the set of symbols that occur (surjectivity).  Only
-    this class knows the storage; others call _row, _columns, _arc_masks.
+    The entries live in one flat row-major code array of n * n items, of
+    the smallest signed typecode that holds the largest code: 0 is
+    NO_EVENT, code i >= 1 is alphabet[i-1], and the diagonal holds -1.  The
+    alphabet is always exactly the set of symbols that occur (surjectivity).
+    Only this class reads the array; the rest of the package calls _row,
+    _column_symbols, _in_masks, _eq_masks and _arc_masks.  The column scans
+    run in C: byte k of every entry of column x, read from row n-1 up to
+    row 0, is one strided slice of the array's bytes, and translating it
+    to "0"/"1" gives a mask with bit y for row y through int(..., 2).
     """
 
-    __slots__ = ("leaves", "alphabet", "_index", "_rows")
+    __slots__ = ("leaves", "alphabet", "_index", "_start", "_codes", "_labels")
 
-    def __init__(self, leaves: Sequence[str], alphabet: Sequence[str], rows: list[list[int]]):
+    def __init__(self, leaves: Sequence[str], alphabet: Sequence[str], rows):
+        """rows: the code matrix as row sequences, or as one flat array
+        from _code_array(len(alphabet)), which is kept as it is."""
         object.__setattr__(self, "leaves", tuple(leaves))
         object.__setattr__(self, "alphabet", tuple(alphabet))
+        n = len(self.leaves)
         object.__setattr__(self, "_index", {nm: i for i, nm in enumerate(self.leaves)})
-        object.__setattr__(self, "_rows", rows)
+        # where each leaf's row starts in the flat array
+        object.__setattr__(self, "_start", {nm: i * n for i, nm in enumerate(self.leaves)})
+        if isinstance(rows, array):
+            codes = rows
+        else:
+            codes = _code_array(len(self.alphabet))
+            for row in rows:
+                codes.fromlist(list(row))
+        if len(codes) != n * n:
+            raise ValueError(f"a map on {n} leaves needs {n * n} codes, got {len(codes)}")
+        object.__setattr__(self, "_codes", codes)
+        # decoding table: labels[code], and labels[-1] is the diagonal's None
+        object.__setattr__(self, "_labels", (NO_EVENT, *self.alphabet, None))
 
     def __setattr__(self, name, value):
         raise AttributeError("FitchMap is immutable")
@@ -625,74 +669,119 @@ class FitchMap:
     def n(self) -> int:
         return len(self.leaves)
 
-    def decode(self, code: int) -> Label:
-        return NO_EVENT if code == 0 else self.alphabet[code - 1]
+    def decode(self, code: int) -> Optional[Label]:
+        """The label of a code; None for the diagonal's -1."""
+        return self._labels[code]
 
-    def _row(self, i: int) -> Sequence[int]:
-        """Row i's codes, -1 at i: the stored row, which callers must not change."""
-        return self._rows[i]
+    def _row(self, i: int) -> array:
+        """Row i's codes, -1 at i, as a new array of the map's typecode."""
+        n = self.n
+        return self._codes[i * n:i * n + n]
 
-    def _columns(self) -> Iterator[Sequence[int]]:
-        """Each column's codes in turn, -1 on the diagonal."""
-        return zip(*self._rows)
+    def _eq_masks(self, targets: Sequence[int]) -> list[int]:
+        """Per column x, in map order, the mask of the rows y whose entry
+        (y, x) is targets[x]: the AND over the entry's bytes of one
+        translated strided slice each."""
+        n, size = self.n, self._codes.itemsize
+        raw = self._codes.tobytes()
+        step = -n * size
+        last = len(raw) + step  # the first byte of row n-1
+        masks = []
+        for x, target in enumerate(targets):
+            start = last + x * size
+            mask = -1
+            for k, byte in enumerate(_item(self._codes, target)):
+                mask &= int(raw[start + k::step].translate(_equal_to(byte)), 2)
+            masks.append(mask)
+        return masks
+
+    def _in_masks(self) -> list[int]:
+        """Per column x, in map order, the mask of the rows y whose entry
+        (y, x) is a symbol, i.e. neither 0 nor the diagonal."""
+        full = (1 << self.n) - 1
+        return [full ^ 1 << x ^ zero for x, zero in enumerate(self._eq_masks([0] * self.n))]
+
+    def _column_symbols(self) -> list[int]:
+        """Each column's one symbol code in map order, 0 for none.  The list
+        stops before the first column holding two distinct symbols, so a
+        list shorter than n names that column."""
+        n, codes = self.n, self._codes
+        if codes.itemsize == 1:
+            # no symbol byte is 0 or 0xff here, so deleting those two
+            # leaves exactly the column's symbol codes
+            raw = codes.tobytes()
+            found = []
+            for x in range(n):
+                rest = raw[x::n].translate(None, b"\0\xff")
+                if rest.count(rest[:1]) < len(rest):
+                    break
+                found.append(rest[0] if rest else 0)
+            return found
+        # a wider code may hold a 0 or 0xff byte: each column's symbols must
+        # all equal the one at its lowest in-arc
+        ins = self._in_masks()
+        found = [codes[((m & -m).bit_length() - 1) * n + x] if m else 0 for x, m in enumerate(ins)]
+        for x, (m, eq) in enumerate(zip(ins, self._eq_masks(found))):
+            if m & ~eq:
+                return found[:x]
+        return found
 
     def _arc_masks(self, idx: Sequence[int]) -> tuple[list[int], list[int]]:
         """Out- and in-masks of the digraph on idx (at least two leaves), with
-        arc a->b where entry (idx[a], idx[b]) is a symbol.  The submatrix, axes
-        reversed, is one "0"/"1" byte string read by int(..., 2) per row and column."""
-        k = len(idx)
-        pick = itemgetter(*reversed(idx))
-        mat = b"".join([bytes(map((0).__lt__, pick(self._rows[i]))) for i in reversed(idx)])
-        mat = mat.translate(bytes.maketrans(b"\x00\x01", b"01"))
+        arc a->b where entry (idx[a], idx[b]) is a symbol, i.e. neither all
+        0 bytes nor all 0xff (the diagonal's -1).  The submatrix, axes
+        reversed, is picked byte by byte from its rows into one "0"/"1"
+        string read by int(..., 2) per row and column."""
+        n, k, size = self.n, len(idx), self._codes.itemsize
+        raw = self._codes.tobytes()
+        pick = itemgetter(*[j * size + b for j in reversed(idx) for b in range(size)])
+        sub = b"".join([bytes(pick(raw[i * n * size:(i + 1) * n * size])) for i in reversed(idx)])
+        zero = minus_one = -1
+        for b in range(size):
+            zero &= int(sub[b::size].translate(_equal_to(0)), 2)
+            minus_one &= int(sub[b::size].translate(_equal_to(255)), 2)
+        mat = format((1 << k * k) - 1 & ~(zero | minus_one), f"0{k * k}b")
         out = [int(mat[r:r + k], 2) for r in range(k * k - k, -1, -k)]
         in_ = [int(mat[c::k], 2) for c in range(k - 1, -1, -1)]
         return out, in_
 
     def label(self, x: str, y: str) -> Label:
         try:
-            i = self._index[x]
-            j = self._index[y]
+            at = self._start[x] + self._index[y]
         except KeyError as e:
             raise UnknownLeaf(f"no leaf named {e.args[0]!r}") from None
-        if i == j:
+        if x == y:
             raise ReflexiveEntry(f"the map is not defined on ({x}, {x})")
-        return self.decode(self._rows[i][j])
+        return self._labels[self._codes[at]]
 
     def pairs(self) -> Iterator[tuple[tuple[str, str], Label]]:
-        leaves = self.leaves
-        for i, row in enumerate(self._rows):
-            for j, code in enumerate(row):
-                if i != j:
-                    yield (leaves[i], leaves[j]), self.decode(code)
+        leaves, labels = self.leaves, self._labels
+        for i, x in enumerate(leaves):
+            for y, lab in zip(leaves, map(labels.__getitem__, self._row(i))):
+                if lab is not None:
+                    yield (x, y), lab
 
     def event_arcs(self) -> frozenset:
         """Ordered pairs whose label is an event symbol."""
-        leaves = self.leaves
+        leaves, n = self.leaves, self.n
         return frozenset(
-            (leaves[i], leaves[j])
-            for i, row in enumerate(self._rows)
-            for j, code in enumerate(row)
-            if code > 0
+            (leaves[p // n], leaves[p % n]) for p, code in enumerate(self._codes) if code > 0
         )
 
     @property
     def otimes_free(self) -> bool:
-        return all(0 not in row for row in self._rows)
+        return 0 not in self._codes
 
     def encoding(self, order: Optional[Sequence[str]] = None) -> tuple:
         """Entry matrix as nested label tuples in the given leaf order."""
+        decode = self._labels.__getitem__
         if order is None:
-            return tuple(
-                tuple(None if c == -1 else self.decode(c) for c in row) for row in self._rows
-            )
+            return tuple(tuple(map(decode, self._row(i))) for i in range(self.n))
         try:
             perm = [self._index[nm] for nm in order]
         except KeyError as e:
             raise UnknownLeaf(f"no leaf named {e.args[0]!r}") from None
-        rows = self._rows
-        return tuple(
-            tuple(None if i == j else self.decode(rows[i][j]) for j in perm) for i in perm
-        )
+        return tuple(tuple(map(decode, map(self._row(i).__getitem__, perm))) for i in perm)
 
     def __eq__(self, other):
         if not isinstance(other, FitchMap):
@@ -738,10 +827,11 @@ def make_fitch_map(
         check_token(s, "symbol")
 
     alphabet = tuple(sorted(symbols))
-    code = {s: i + 1 for i, s in enumerate(alphabet)}
-    rows = [[-1] * n for _ in range(n)]
+    codes = _code_array(len(alphabet))
+    item = {lab: _item(codes, c) for c, lab in enumerate((NO_EVENT, *alphabet))}
+    diagonal = _item(codes, -1)
     for i, x in enumerate(leaves):
-        row = rows[i]
+        row = [diagonal] * n
         for j, y in enumerate(leaves):
             if i == j:
                 continue
@@ -749,8 +839,9 @@ def make_fitch_map(
                 lab = entries[(x, y)]
             except KeyError:
                 raise MissingEntry(f"no entry for ordered pair ({x}, {y})") from None
-            row[j] = 0 if lab is NO_EVENT else code[lab]
-    return FitchMap(leaves, alphabet, rows)
+            row[j] = item[lab]
+        codes.frombytes(b"".join(row))
+    return FitchMap(leaves, alphabet, codes)
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,18 @@ all of them, whatever the tree's shape:
   the diagonal.
 
 That is O(vertices + n) Python steps, plus n row copies (evaluate) or row
-compares (explains) done in C.
+compares (explains) done in C: the template is an array of the map's
+code typecode, so a copy is one extend and a compare one array compare.
 """
 
 from __future__ import annotations
 
+from array import array
+
 from .core import (
     NO_EVENT,
     FitchMap,
+    _code_array,
     LabelConflict,
     LabeledTree,
     LeafSetMismatch,
@@ -37,12 +41,14 @@ def evaluate(tree: LabeledTree) -> FitchMap:
     two distinct symbols, i.e. when the tree explains no map at all.
     """
     alphabet = tree.event_symbols()
-    rows = [t[:] for t in _templates(tree, alphabet, range(tree.n_leaves))]
-    for i, row in enumerate(rows):
-        row[i] = -1
+    n = tree.n_leaves
+    codes = _code_array(len(alphabet))
+    for template in _templates(tree, alphabet, range(n)):
+        codes.extend(template)
+    codes[::n + 1] = array(codes.typecode, [-1]) * n
     # every edge lies on some lca-path, so a successful evaluation
     # witnesses every symbol and the alphabet needs no re-normalization
-    return FitchMap(tree.leaf_names, alphabet, rows)
+    return FitchMap(tree.leaf_names, alphabet, codes)
 
 
 def _root_paths(tree: LabeledTree, alphabet):
@@ -94,11 +100,13 @@ def _root_paths(tree: LabeledTree, alphabet):
 def _templates(tree: LabeledTree, alphabet, pos):
     """Pass 2: yield one template per leaf x, in canonical order, equal to
     row x of the map but for its diagonal entry; the leaf at canonical
-    position j has entry pos[j].  The template is one list, changed in
-    place between yields, so a caller that changes it must restore it."""
+    position j has entry pos[j].  The template is one array of the
+    typecode _code_array gives the alphabet, changed in place between
+    yields, so a caller that changes it must restore it."""
     sym, low = _root_paths(tree, alphabet)
     leaves = tree._leafv
-    template = [0] * len(leaves)
+    template = _code_array(len(alphabet))
+    template.extend([0] * len(leaves))
     zeroed = [[] for _ in sym]  # Z[v]: entries of the leaves whose lowest event vertex is v
     for i, y in zip(pos, leaves):
         template[i] = sym[y]
@@ -148,11 +156,14 @@ def explains(tree: LabeledTree, fmap: FitchMap) -> bool:
     with the map's in place, no n x n matrix built."""
     if set(tree.leaf_names) != set(fmap.leaves):
         raise LeafSetMismatch("tree and map have different leaf sets")
-    # coded by fmap's alphabet; a symbol fmap lacks is coded past it
-    alphabet = fmap.alphabet + tuple(sorted(set(tree.event_symbols()) - set(fmap.alphabet)))
+    # a successful evaluation witnesses every edge symbol (see evaluate),
+    # so a tree with a symbol fmap lacks explains nothing; otherwise the
+    # template is coded by fmap's own alphabet, in fmap's typecode
+    if not set(fmap.alphabet).issuperset(tree.event_symbols()):
+        return False
     pos = [fmap._index[nm] for nm in tree.leaf_names]
     try:
-        for i, template in zip(pos, _templates(tree, alphabet, pos)):
+        for i, template in zip(pos, _templates(tree, fmap.alphabet, pos)):
             # a leaf's own entry is 0 at its row: the leaf lies below its
             # lowest event vertex, or has none and so no symbol
             template[i] = -1

@@ -10,18 +10,19 @@ vertex is the cluster C[y] = X_m minus in(y) of a leaf y in a class X_m,
 and the edge above it carries m.  assemble() builds it in one cluster
 walk over every class.
 
-recognize() walks the symbol classes once, in alphabet order, building each
-class digraph once: the first class that is not simple Fitch is the T2
-witness, named from that walk's own digraph.  Otherwise the
-assembled tree is certified once with explains(); by the characterization
-theorem this passes exactly on tree-like maps, so the scan of arcs entering
-a class from outside runs only after a failed certificate, to name T3 or T4.
+recognize() reads the map through column scans in C: one gives each leaf's
+class symbol (T1), one each leaf's in-mask.  The cluster walk takes the
+symbol classes once, in alphabet order, as member masks in the map's own
+leaf order: the first class that is not simple Fitch is the T2 witness,
+and only its digraph is built, to name the triad.  Otherwise the assembled
+tree is certified once with explains(); by the characterization theorem
+this passes exactly on tree-like maps, so the scan of arcs entering a
+class from outside runs only after a failed certificate, to name T3 or T4.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from typing import Optional, Union
 
 from .core import (
@@ -34,7 +35,7 @@ from .core import (
     label_token,
 )
 from .evaluate import _root_paths, explains
-from .simple_fitch import Digraph, NotFitch, _cluster_tree, _structurally_least_resolved, find_forbidden_triad
+from .simple_fitch import Digraph, NotFitch, _bits, _cluster_tree, _structurally_least_resolved, find_forbidden_triad
 from .simple_fitch import least_resolved_simple  # unused here; perfbench/spans.py wraps it, else --trace 1 hits AttributeError
 
 
@@ -156,20 +157,17 @@ def compute_classes(fmap: FitchMap) -> Union[QuasiPartition, T1Violation]:
     A leaf with two distinct incoming symbols belongs to no class, which is
     exactly a T1 failure; the first such leaf (in map order) is returned.
     """
+    found = fmap._column_symbols()
+    if len(found) < fmap.n:
+        leaf = fmap.leaves[len(found)]
+        shown = {fmap.label(y, leaf) for y in fmap.leaves if y != leaf}
+        shown.discard(NO_EVENT)
+        return T1Violation(leaf=leaf, symbols=tuple(sorted(shown)))
     classes: dict[Label, list[str]] = {NO_EVENT: []}
     for s in fmap.alphabet:
         classes[s] = []
-    for j, col in enumerate(fmap._columns()):
-        seen = set(col)
-        seen.discard(0)
-        seen.discard(-1)
-        if len(seen) > 1:
-            return T1Violation(
-                leaf=fmap.leaves[j],
-                symbols=tuple(sorted(fmap.alphabet[c - 1] for c in seen)),
-            )
-        label = fmap.decode(seen.pop()) if seen else NO_EVENT
-        classes[label].append(fmap.leaves[j])
+    for leaf, c in zip(fmap.leaves, found):
+        classes[fmap.decode(c)].append(leaf)
     return QuasiPartition(classes)
 
 
@@ -187,34 +185,37 @@ def _class_codes(fmap: FitchMap, classes: QuasiPartition) -> list[int]:
     return [code[classes.class_of(nm)] for nm in fmap.leaves]
 
 
+def _class_masks(fmap: FitchMap, codes: list[int]) -> list[int]:
+    """Per class code, the mask of its members, bit i for leaf i of the map."""
+    masks = [0] * (len(fmap.alphabet) + 1)
+    for i, c in enumerate(codes):
+        masks[c] |= 1 << i
+    return masks
+
+
 def _outside_arcs(fmap: FitchMap, classes: QuasiPartition) -> Optional[Union[T3Violation, T4Violation]]:
     """First arc (y, x) that enters x from outside x's class but does not
     carry x's class code: T3 for a symbol class, T4 for a NO_EVENT leaf,
     which is a class of its own.  Order: symbol classes in alphabet order,
-    the NO_EVENT class last, then x, then y.  Columns are checked by C-level
-    counts; only the failing column named is searched for y."""
+    the NO_EVENT class last, then x, then y.  One column scan gives, per
+    leaf x, the mask of the rows whose entry (y, x) is x's class code."""
     codes = _class_codes(fmap, classes)
-    n = fmap.n
-    outside: dict[int, bytes] = {}
-    bad = []
-    for x, col in enumerate(fmap._columns()):
-        c = codes[x]
-        if c not in outside:
-            # every other leaf is outside a NO_EVENT leaf's class; the -1
-            # diagonal is then the one entry of the column that is not 0
-            outside[c] = bytes(map(c.__ne__, codes)) if c else b"\1" * n
-        seen = list(compress(col, outside[c]))
-        if seen.count(c) != len(seen) - (c == 0):
-            bad.append(x)
+    members = _class_masks(fmap, codes)
+    full = (1 << fmap.n) - 1
+    misses = [
+        (full ^ (members[c] if c else 1 << x)) & ~eq
+        for x, (c, eq) in enumerate(zip(codes, fmap._eq_masks(codes)))
+    ]
+    bad = [x for x, miss in enumerate(misses) if miss]
     if not bad:
         return None
     x = min(bad, key=lambda x: (codes[x] == 0, codes[x], x))
-    c = codes[x]
-    y = next(y for y in range(n) if y != x and (c == 0 or codes[y] != c) and fmap._row(y)[x] != c)
-    found = fmap.decode(fmap._row(y)[x])
-    if c == 0:
-        return T4Violation(fmap.leaves[x], fmap.leaves[y], found)
-    return T3Violation(fmap.leaves[x], fmap.leaves[y], fmap.alphabet[c - 1], found)
+    y = (misses[x] & -misses[x]).bit_length() - 1
+    leaves = fmap.leaves
+    found = fmap.label(leaves[y], leaves[x])
+    if codes[x] == 0:
+        return T4Violation(leaves[x], leaves[y], found)
+    return T3Violation(leaves[x], leaves[y], fmap.alphabet[codes[x] - 1], found)
 
 
 def check_conditions(fmap: FitchMap, classes: QuasiPartition) -> Optional[Violation]:
@@ -235,22 +236,20 @@ def assemble(fmap: FitchMap, classes: QuasiPartition) -> LabeledTree:
     """Assemble the least-resolved tree for a map satisfying T1 to T4.
 
     One cluster walk over the symbol classes, in alphabet order, builds the
-    whole tree; each class digraph is built once.  NotFitch is raised
-    exactly when a class digraph is not simple Fitch, and carries the first
-    such class's ``symbol`` and ``digraph``; on a map that breaks T3 or T4
-    the tree fails to explain it.
+    whole tree from the class member masks and the map's in-masks, all in
+    the map's own leaf order; no class digraph is built on the way.
+    NotFitch is raised exactly when a class digraph is not simple Fitch,
+    and carries the first such class's ``symbol`` and ``digraph``, built
+    then; on a map that breaks T3 or T4 the tree fails to explain it.
     """
-    members: list[list[int]] = [[] for _ in range(len(fmap.alphabet) + 1)]
-    for i, c in enumerate(_class_codes(fmap, classes)):
-        members[c].append(i)
-    leaves = fmap.leaves
-    walk = [
-        # the kernel needs two members; a smaller class has no arcs
-        (m, Digraph._from_masks(tuple(map(leaves.__getitem__, idx)), *fmap._arc_masks(idx))
-         if len(idx) > 1 else Digraph(map(leaves.__getitem__, idx), ()))
-        for m, idx in zip(fmap.alphabet, members[1:])
-    ]
-    return _cluster_tree(walk, [leaves[i] for i in members[0]])
+    members = _class_masks(fmap, _class_codes(fmap, classes))
+    try:
+        return _cluster_tree(fmap.leaves, list(zip(fmap.alphabet, members[1:])), fmap._in_masks())
+    except NotFitch as exc:
+        # a class that is not simple Fitch has at least three members
+        idx = list(_bits(exc.members))
+        exc.digraph = Digraph._from_masks(tuple(map(fmap.leaves.__getitem__, idx)), *fmap._arc_masks(idx))
+        raise
 
 
 def recognize(fmap: FitchMap) -> RecognitionReport:

@@ -3,7 +3,10 @@
 Relation-matrix format (.fm): header line '#fitchmap v1', a tab-separated
 leaf-name line, then one tab-separated row per leaf; '.' marks the
 diagonal and '-' marks NO_EVENT.  LF line endings, trailing newline
-required.  The reader checks each distinct token once, in linear time.
+required.  The reader checks each row with C-level tests (cell count, the
+diagonal, each distinct token once) and walks a row cell by cell only to
+name the position of its error; it codes rows straight into the map's
+code array.
 
 Labeled-Newick format (.lnw): node := leafName | "(" node ":" label
 ("," node ":" label)+ ")", terminated by ";"; each edge label follows its
@@ -24,6 +27,8 @@ from .core import (
     LabeledTree,
     NonPhylogenetic,
     ReservedToken,
+    _code_array,
+    _item,
     check_token,
     make_fitch_map,  # unused here; perfbench/spans.py wraps it, else --trace 1 hits AttributeError
 )
@@ -84,32 +89,59 @@ def read_map(text: str) -> FitchMap:
             f"expected {n} matrix rows, found {len(lines) - 2}",
         )
 
-    # pass one: the shape, the diagonal and each distinct token, checked once
-    known = {"-"}  # tokens that passed check_token, plus '-', which needs none
+    # pass one: the shape, the diagonal and each distinct token, checked
+    # once, by C-level tests of each row; a row that fails them is walked
+    # cell by cell to name the line, column and reason
+    known = {"-", "."}  # tokens that passed check_token, plus the two reserved ones
     for i, line in enumerate(lines[2:]):
-        lineno = i + 3
         cells = line.split("\t")
-        if len(cells) != n:
-            raise ShapeError(lineno, 1, f"expected {n} cells, found {len(cells)}")
-        col = 1
-        for j, cell in enumerate(cells):
-            if i == j:
-                if cell != ".":
-                    raise ParseError(lineno, col, f"diagonal cell must be '.', found {cell!r}")
-            elif cell == ".":
-                raise ParseError(lineno, col, "'.' is only allowed on the diagonal")
-            elif cell not in known:
-                try:
-                    check_token(cell, "token")
-                except InvalidToken as e:
-                    raise ParseError(lineno, col, str(e)) from None
-                known.add(cell)
-            col += len(cell) + 1
-    # pass two: every token is known, so each row maps through one dict
-    alphabet = tuple(sorted(known - {"-"}))
-    code = {s: c for c, s in enumerate(alphabet, 1)} | {"-": 0, ".": -1}
-    rows = [[code[cell] for cell in line.split("\t")] for line in lines[2:]]
-    return FitchMap(names, alphabet, rows)
+        if not _row_passes(cells, i, n, known):
+            _row_error(i + 3, cells, i, n, known)
+    # pass two: every token is known, so each row codes through one dict
+    # of item bytes, straight into the map's code array
+    alphabet = tuple(sorted(known - {"-", "."}))
+    codes = _code_array(len(alphabet))
+    item = {s: _item(codes, c) for c, s in enumerate(("-", *alphabet))}
+    item["."] = _item(codes, -1)
+    for line in lines[2:]:
+        codes.frombytes(b"".join(map(item.__getitem__, line.split("\t"))))
+    return FitchMap(names, alphabet, codes)
+
+
+def _row_passes(cells: list[str], i: int, n: int, known: set) -> bool:
+    """Row i has n cells, '.' exactly at i, and tokens that pass
+    check_token; the new ones join `known`."""
+    if len(cells) != n or cells[i] != "." or cells.count(".") != 1:
+        return False
+    if not known.issuperset(cells):
+        new = set(cells).difference(known)
+        try:
+            for token in new:
+                check_token(token, "token")
+        except InvalidToken:
+            return False
+        known |= new
+    return True
+
+
+def _row_error(lineno: int, cells: list[str], i: int, n: int, known: set) -> None:
+    """Raise the first error of a row that failed _row_passes, in column order."""
+    if len(cells) != n:
+        raise ShapeError(lineno, 1, f"expected {n} cells, found {len(cells)}")
+    col = 1
+    for j, cell in enumerate(cells):
+        if i == j:
+            if cell != ".":
+                raise ParseError(lineno, col, f"diagonal cell must be '.', found {cell!r}")
+        elif cell == ".":
+            raise ParseError(lineno, col, "'.' is only allowed on the diagonal")
+        elif cell not in known:
+            try:
+                check_token(cell, "token")
+            except InvalidToken as e:
+                raise ParseError(lineno, col, str(e)) from None
+        col += len(cell) + 1
+    raise AssertionError("a row that failed its checks has no error")
 
 
 def write_map(fmap: FitchMap) -> str:

@@ -6,12 +6,12 @@ least-resolved tree in one pass over the complemented in-neighbourhoods
 C[y] = V minus in(y), which form a laminar family exactly on simple Fitch
 digraphs (Geiss et al., J. Math. Biol. 2018; Hellmuth and Seemann,
 J. Math. Biol. 2019), and certifies its output by re-evaluation; the
-same walk over several classes, whose digraphs FitchMap._arc_masks
-reads off the map, builds the generalized tree.  The triad
-scanner looks for a 3-subset inducing one of the forbidden 3-vertex
-digraphs of a machine-derived table.  It walks vertex pairs over bitmask
-rows, one bitmask expression per pair covering every third vertex, and
-returns the first forbidden triad in index order.  The two recognizers'
+same walk over several classes, given as member masks with the in-masks
+that FitchMap._in_masks reads off the map, builds the generalized tree.
+The triad scanner looks for a 3-subset inducing one of the forbidden
+3-vertex digraphs of a machine-derived table.  It walks vertex pairs over
+bitmask rows, one bitmask expression per pair covering every third vertex,
+and returns the first forbidden triad in index order.  The two recognizers'
 equivalence is established exhaustively in the test suite.
 """
 
@@ -260,40 +260,38 @@ def _names(vs: Sequence[str], mask: int) -> str:
     return "{" + ", ".join(vs[v] for v in _bits(mask)) + "}"
 
 
-def _cluster_tree(classes: Sequence[tuple[str, Digraph]], loose: Sequence[str] = ()) -> LabeledTree:
-    """The least-resolved tree over the vertices of the symbol classes,
-    given as (symbol, class digraph) pairs in walk order, and the NO_EVENT
-    leaves `loose`; NotFitch exactly when some class digraph is not simple
-    Fitch, carrying the first such class's ``symbol`` and ``digraph``.
+def _cluster_tree(vs: Sequence[str], classes: Sequence[tuple[str, int]], in_: Sequence[int]) -> LabeledTree:
+    """The least-resolved tree on the leaves `vs`, bit y of every mask
+    standing for vs[y].  `classes` lists the symbol classes in walk order
+    as (symbol, member mask) pairs, in_[y] is the mask of the leaves with
+    an arc into y, and the leaves in no class are the NO_EVENT leaves.
+    NotFitch exactly when some class digraph (the arcs within a class) is
+    not simple Fitch, carrying the first such class's ``symbol`` and
+    ``members`` mask.
 
-    The leaves share one bit space: each class takes the next contiguous
-    range, the NO_EVENT leaves the last bits.  Leaf y of class X_m has the
-    cluster C[y] = X_m minus in(y), a NO_EVENT leaf C[y] = X, the whole
-    leaf set.  The tree has a vertex for X and for each distinct C[y]; the
-    edge above C[y] carries y's symbol, and each y is a NO_EVENT leaf below
-    C[y], or the leaf itself when C[y] = {y}.  The walk takes the classes
-    in order, each class's clusters in ascending size, and X last.  Each
-    cluster adopts the earlier maximal clusters at its lowest uncovered
-    bits, which must lie inside it, and the bits left over must be exactly
-    its owners, the y with that C[y].
+    Leaf y of class X_m has the cluster C[y] = X_m minus in(y), a NO_EVENT
+    leaf C[y] = X, the whole leaf set.  The tree has a vertex for X and for
+    each distinct C[y]; the edge above C[y] carries y's symbol, and each y
+    is a NO_EVENT leaf below C[y], or the leaf itself when C[y] = {y}.  The
+    walk takes the classes in order, each class's clusters in ascending
+    size, and X last.  Each cluster adopts the earlier maximal clusters at
+    its lowest uncovered bits, which must lie inside it, and the bits left
+    over must be exactly its owners, the y with that C[y].
     """
-    vs = [nm for _, g in classes for nm in g.vertices]
-    vs.extend(loose)
     full = (1 << len(vs)) - 1
+    loose = full
     owners: dict[int, int] = {}
     # clusters sort by (class, size); X, owned by a class only when that
     # class holds every leaf, comes last
     rank: dict[int, tuple[int, int]] = {}
-    offset = 0
-    for i, (_, g) in enumerate(classes):
-        own = (1 << g.n) - 1 << offset
-        for y, in_y in enumerate(g._in, offset):
-            c = own ^ in_y << offset
+    for i, (_, members) in enumerate(classes):
+        loose &= ~members
+        for y in _bits(members):
+            c = members & ~in_[y]
             owners[c] = owners.get(c, 0) | 1 << y
             rank.setdefault(c, (i, c.bit_count()))
-        offset += g.n
-    # the NO_EVENT leaves, the bits past the classes, own X
-    owners[full] = owners.get(full, 0) | full >> offset << offset
+    # the NO_EVENT leaves own X
+    owners[full] = owners.get(full, 0) | loose
     rank.setdefault(full, (len(classes), 0))
     parents: list[Optional[int]] = []
     labels: list = []
@@ -330,7 +328,7 @@ def _cluster_tree(classes: Sequence[tuple[str, Digraph]], loose: Sequence[str] =
                 names[at] = vs[c.bit_length() - 1]
             tops[c & -c] = (c, at)
     except NotFitch as exc:
-        exc.symbol, exc.digraph = classes[i]
+        exc.symbol, exc.members = classes[i]
         raise
     return LabeledTree(parents, labels, names)
 
@@ -338,8 +336,12 @@ def _cluster_tree(classes: Sequence[tuple[str, Digraph]], loose: Sequence[str] =
 def _decompose(g: Digraph, symbol: str) -> LabeledTree:
     """The least-resolved tree of g (at least 2 vertices), its event edges
     carrying symbol: the cluster walk with g as its only class.  NotFitch
-    exactly when g is not simple Fitch."""
-    return _cluster_tree([(symbol, g)])
+    exactly when g is not simple Fitch, carrying ``digraph`` g."""
+    try:
+        return _cluster_tree(g.vertices, [(symbol, (1 << g.n) - 1)], g._in)
+    except NotFitch as exc:
+        exc.digraph = g
+        raise
 
 
 def least_resolved_simple(g: Digraph, symbol: str = "1") -> LabeledTree:

@@ -227,7 +227,21 @@ class TestCodeMatrixAccessors:
             for j, y in enumerate(fmap.leaves):
                 if i != j:
                     assert fmap.decode(fmap._row(i)[j]) == fmap.label(x, y)
-        assert [list(col) for col in fmap._columns()] == [list(col) for col in zip(*rows)]
+        # the column scans against the transposed rows
+        columns = [list(col) for col in zip(*rows)]
+        masks = [sum(1 << y for y, c in enumerate(col) if c > 0) for col in columns]
+        assert fmap._in_masks() == masks
+        targets = [random.Random(seed + x).choice(col) for x, col in enumerate(columns)]
+        assert fmap._eq_masks(targets) == [
+            sum(1 << y for y, c in enumerate(col) if c == t) for col, t in zip(columns, targets)
+        ]
+        symbols = []
+        for col in columns:
+            seen = set(col) - {0, -1}
+            if len(seen) > 1:
+                break
+            symbols.append(seen.pop() if seen else 0)
+        assert fmap._column_symbols() == symbols
 
     def test_only_core_reads_the_code_matrix(self):
         # the storage of the code matrix is FitchMap's alone
@@ -236,6 +250,6 @@ class TestCodeMatrixAccessors:
             f"{path.name}:{lineno}"
             for path in sorted(package.glob("*.py")) if path.name != "core.py"
             for lineno, line in enumerate(path.read_text().splitlines(), 1)
-            if re.search(r"\._rows\b", line)
+            if re.search(r"\._codes\b", line)
         ]
         assert hits == []

@@ -527,6 +527,8 @@ class TestSinglePipeline:
         for name in ("check_conditions", "least_resolved_simple", "find_forbidden_triad"):
             monkeypatch.setattr(fitchmap.generalized, name, diagnostic)
         monkeypatch.setattr(fitchmap.simple_fitch, "evaluate", diagnostic)
+        # the walk reads classes and in-masks; no class digraph is gathered
+        monkeypatch.setattr(FitchMap, "_arc_masks", diagnostic)
         # the package re-exports evaluate(), which hides the module's name
         evaluate_module = importlib.import_module("fitchmap.evaluate")
         walked = []
@@ -551,17 +553,15 @@ class TestSinglePipeline:
         dead_ends = uncertified = 0
         real_build = FitchMap._arc_masks
         real_walk = fitchmap.generalized._cluster_tree
-        built, decomposed = [], []
+        built, walks = [], []
 
         def counting_build(fmap, idx):
             built.append(tuple(idx))
             return real_build(fmap, idx)
 
-        def counting_walk(classes, loose=()):
-            # one entry per class of two or more leaves, whose digraph the
-            # kernel built; a smaller class has no arcs to walk
-            decomposed.extend(g.vertices for _, g in classes if g.n > 1)
-            return real_walk(classes, loose)
+        def counting_walk(names, classes, in_):
+            walks.append(tuple(names))
+            return real_walk(names, classes, in_)
 
         def second_pipeline(*args, **kwargs):
             raise AssertionError("a negative verdict ran a second pipeline")
@@ -579,9 +579,8 @@ class TestSinglePipeline:
             m = make_fitch_map(fm.leaves, entries)
             classes = compute_classes(m)
             t1 = isinstance(classes, T1Violation)
-            walked = 0 if t1 else sum(len(classes.members(s)) >= 2 for s in m.alphabet)
             built.clear()
-            decomposed.clear()
+            walks.clear()
             with monkeypatch.context() as mp:
                 mp.setattr(FitchMap, "_arc_masks", counting_build)
                 mp.setattr(fitchmap.generalized, "_cluster_tree", counting_walk)
@@ -589,9 +588,14 @@ class TestSinglePipeline:
                     mp.setattr(fitchmap.generalized, name, second_pipeline)
                 mp.setattr(fitchmap.simple_fitch, "evaluate", second_pipeline)
                 report = recognize(m)
-            # one walk over the classes: each digraph built and decomposed at most once
-            assert len(set(built)) == len(built) <= walked
-            assert len(set(decomposed)) == len(decomposed) <= walked
+            # one walk over the classes; only a T2 verdict gathers a class
+            # digraph, the failing class's, once
+            assert walks == ([] if t1 else [m.leaves])
+            t2 = not report.tree_like and report.reason.kind == "T2"
+            assert len(built) == t2
+            if t2:
+                symbol = report.reason.symbol
+                assert built == [tuple(i for i, x in enumerate(m.leaves) if classes.class_of(x) == symbol)]
             if not report.tree_like:
                 assert witness_holds(m, report.reason)
             if t1:

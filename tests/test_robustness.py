@@ -1,13 +1,15 @@
 """Hostile-shape and fuzzing checks that sit outside the acceptance
 criteria: deep chains past the interpreter recursion limit, parser
 behavior on corrupted inputs, the cost of .fm reading and writing, the
-cost of a negative verdict, the cost of building a deep class's tree and
-the cost of certifying a deep tree."""
+memory of .fm reading, the cost of a negative verdict, the cost of
+building a deep class's tree and the cost of certifying a deep tree."""
 
+import gc
 import random
 import statistics
 import sys
 import time
+import tracemalloc
 
 from conftest import caterpillar_digraph, code_rows
 from fitchmap.core import NO_EVENT, FitchError, FitchMap, LabeledTree
@@ -206,6 +208,23 @@ class TestMapIOCost:
         reads, writes = _io_medians({n: _distinct_symbol_map(n) for n in (128, 256)}, 7)
         assert reads[256] / reads[128] <= 5.0
         assert writes[256] / writes[128] <= 5.0
+
+
+class TestMapReaderMemory:
+    def test_tree_like_map_read_is_compact(self):
+        """Reading a tree-like n=1024, |M|=8 map keeps at most 1.5 MB, one
+        byte per entry and the leaf names, and peaks at most 6 MB."""
+        text = write_map(random_tree_like_instance(60_001, 1024, 8)[1])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            fmap = read_map(text)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fmap.n == 1024
+        assert retained <= 1.5e6
+        assert peak <= 6e6
 
 
 LATE = 16
