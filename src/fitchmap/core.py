@@ -4,6 +4,8 @@ Maps on ordered leaf pairs (FitchMap), edge-labeled rooted trees
 (LabeledTree), the per-symbol leaf classes (QuasiPartition) and rooted
 triples.  Every type is immutable after construction and the constructors
 validate all structural invariants, so the algorithms never re-check them.
+FitchMap trusts one input only, a ready code array, which the package's
+builders (make_fitch_map, read_map, evaluate) write from checked input.
 
 Trees are stored in canonical form: vertices are renumbered in preorder
 with the children of every vertex ordered by the smallest leaf name in
@@ -140,6 +142,15 @@ def check_token(token: str, role: str = "symbol") -> str:
         if ch.isspace() or ch in _FORBIDDEN_CHARS:
             raise InvalidToken(f"{role} {token!r} contains forbidden character {ch!r}")
     return token
+
+
+def _check_edge_labels(labels: Sequence[Optional[Label]], root: int) -> None:
+    """Every label but the root's is NO_EVENT or a valid symbol."""
+    for v, lab in enumerate(labels):
+        if v != root and lab is not NO_EVENT:
+            if not isinstance(lab, str):
+                raise InvalidToken(f"edge label must be a symbol or NO_EVENT, got {lab!r}")
+            check_token(lab, "edge label")
 
 
 def label_token(label: Label) -> str:
@@ -306,12 +317,7 @@ class LabeledTree:
                 if children[v] and len(children[v]) < 2:
                     kind = "root" if v == root else "inner vertex"
                     raise NonPhylogenetic(f"{kind} has a single child (degree-2 vertex)")
-            for v in range(n):
-                if v != root and labels[v] is not NO_EVENT:
-                    lab = labels[v]
-                    if not isinstance(lab, str):
-                        raise InvalidToken(f"edge label must be a symbol or NO_EVENT, got {lab!r}")
-                    check_token(lab, "edge label")
+            _check_edge_labels(labels, root)
 
         # canonical order: children sorted by smallest leaf name in subtree
         minleaf: list[str] = [""] * n
@@ -410,18 +416,20 @@ class LabeledTree:
         return cls([None], [None], {0: name}, _allow_single=True)
 
     def with_labels(self, labels: Sequence[Optional[Label]]) -> "LabeledTree":
-        """Clone with new edge labels (same topology; skips revalidation).
+        """Clone with new edge labels, which are validated as the
+        constructor validates them; the topology is not re-checked.
 
         Canonical vertex order only depends on leaf names, so relabeling
         preserves it.
         """
         if len(labels) != len(self._parent):
             raise ValueError("label sequence has wrong length")
+        lab = list(labels)
+        lab[0] = None
+        _check_edge_labels(lab, 0)
         new = object.__new__(LabeledTree)
         object.__setattr__(new, "_parent", self._parent)
         object.__setattr__(new, "_children", self._children)
-        lab = list(labels)
-        lab[0] = None
         object.__setattr__(new, "_labels", tuple(lab))
         object.__setattr__(new, "_names", self._names)
         object.__setattr__(new, "_name2v", self._name2v)
@@ -625,6 +633,44 @@ def _equal_to(byte: int) -> bytes:
     return b"0" * byte + b"1" + b"0" * (255 - byte)
 
 
+def _leaf_index(leaves: tuple) -> dict[str, int]:
+    """Each leaf's position; TooFewLeaves, InvalidToken or DuplicateLeaf
+    when the leaves cannot name a map."""
+    if len(leaves) < 2:
+        raise TooFewLeaves(f"a map needs at least 2 leaves, got {len(leaves)}")
+    index: dict[str, int] = {}
+    for nm in leaves:
+        check_token(nm, "leaf name")
+        if nm in index:
+            raise DuplicateLeaf(f"duplicate leaf {nm!r}")
+        index[nm] = len(index)
+    return index
+
+
+def _list_codes(n: int, alphabet: tuple, rows) -> array:
+    """The code array of list rows, checked: n rows of n codes, -1 exactly
+    on the diagonal and 0 to len(alphabet) elsewhere, over an alphabet of
+    distinct valid symbols that all occur.  Each row is checked in C."""
+    k = len(alphabet)
+    for s in alphabet:
+        check_token(s, "symbol")
+    if len(set(alphabet)) < k:
+        raise ValueError(f"alphabet {list(alphabet)} repeats a symbol")
+    rows = list(rows)
+    if len(rows) != n:
+        raise ValueError(f"a map on {n} leaves needs {n} rows, got {len(rows)}")
+    codes = _code_array(k)
+    for i, row in enumerate(rows):
+        row = list(row)
+        if len(row) != n or row[i] != -1 or row.count(-1) != 1 or min(row) < -1 or max(row) > k:
+            raise ValueError(f"row {i} must hold {n} codes: -1 at {i} only, 0 to {k} elsewhere")
+        codes.fromlist(row)
+    unused = set(range(1, k + 1)).difference(codes)
+    if unused:
+        raise ValueError(f"symbol {alphabet[min(unused) - 1]!r} occurs in no entry")
+    return codes
+
+
 class FitchMap:
     """A total map from ordered distinct leaf pairs to labels.
 
@@ -633,7 +679,7 @@ class FitchMap:
     NO_EVENT, code i >= 1 is alphabet[i-1], and the diagonal holds -1.  The
     alphabet is always exactly the set of symbols that occur (surjectivity).
     Only this class reads the array; the rest of the package calls _row,
-    _column_symbols, _in_masks, _eq_masks and _arc_masks.  The column scans
+    _in_masks, _lowest_in_codes, _eq_masks and _arc_masks.  The column scans
     run in C: byte k of every entry of column x, read from row n-1 up to
     row 0, is one strided slice of the array's bytes, and translating it
     to "0"/"1" gives a mask with bit y for row y through int(..., 2).
@@ -642,8 +688,10 @@ class FitchMap:
     __slots__ = ("leaves", "alphabet", "_index", "_start", "_codes", "_labels")
 
     def __init__(self, leaves: Sequence[str], alphabet: Sequence[str], rows):
-        """rows: the code matrix as row sequences, or as one flat array
-        from _code_array(len(alphabet)), which is kept as it is."""
+        """rows: the code matrix as row sequences, which are validated with
+        the leaves and the alphabet, or as one flat array from
+        _code_array(len(alphabet)), which is kept as it is: the package's
+        builders of arrays validate their input themselves."""
         object.__setattr__(self, "leaves", tuple(leaves))
         object.__setattr__(self, "alphabet", tuple(alphabet))
         n = len(self.leaves)
@@ -653,9 +701,8 @@ class FitchMap:
         if isinstance(rows, array):
             codes = rows
         else:
-            codes = _code_array(len(self.alphabet))
-            for row in rows:
-                codes.fromlist(list(row))
+            _leaf_index(self.leaves)
+            codes = _list_codes(n, self.alphabet, rows)
         if len(codes) != n * n:
             raise ValueError(f"a map on {n} leaves needs {n * n} codes, got {len(codes)}")
         object.__setattr__(self, "_codes", codes)
@@ -701,30 +748,11 @@ class FitchMap:
         full = (1 << self.n) - 1
         return [full ^ 1 << x ^ zero for x, zero in enumerate(self._eq_masks([0] * self.n))]
 
-    def _column_symbols(self) -> list[int]:
-        """Each column's one symbol code in map order, 0 for none.  The list
-        stops before the first column holding two distinct symbols, so a
-        list shorter than n names that column."""
+    def _lowest_in_codes(self, ins: Sequence[int]) -> list[int]:
+        """Per column x, in map order, the code of its lowest in-arc, the
+        row at the lowest bit of the in-mask ins[x]; 0 for no in-arc."""
         n, codes = self.n, self._codes
-        if codes.itemsize == 1:
-            # no symbol byte is 0 or 0xff here, so deleting those two
-            # leaves exactly the column's symbol codes
-            raw = codes.tobytes()
-            found = []
-            for x in range(n):
-                rest = raw[x::n].translate(None, b"\0\xff")
-                if rest.count(rest[:1]) < len(rest):
-                    break
-                found.append(rest[0] if rest else 0)
-            return found
-        # a wider code may hold a 0 or 0xff byte: each column's symbols must
-        # all equal the one at its lowest in-arc
-        ins = self._in_masks()
-        found = [codes[((m & -m).bit_length() - 1) * n + x] if m else 0 for x, m in enumerate(ins)]
-        for x, (m, eq) in enumerate(zip(ins, self._eq_masks(found))):
-            if m & ~eq:
-                return found[:x]
-        return found
+        return [codes[((m & -m).bit_length() - 1) * n + x] if m else 0 for x, m in enumerate(ins)]
 
     def _arc_masks(self, idx: Sequence[int]) -> tuple[list[int], list[int]]:
         """Out- and in-masks of the digraph on idx (at least two leaves), with
@@ -802,15 +830,7 @@ def make_fitch_map(
     """Validate and build a FitchMap; the alphabet is normalized to the
     symbols that actually occur."""
     leaves = tuple(leaves)
-    if len(leaves) < 2:
-        raise TooFewLeaves(f"a map needs at least 2 leaves, got {len(leaves)}")
-    index: dict[str, int] = {}
-    for nm in leaves:
-        check_token(nm, "leaf name")
-        if nm in index:
-            raise DuplicateLeaf(f"duplicate leaf {nm!r}")
-        index[nm] = len(index)
-
+    index = _leaf_index(leaves)
     n = len(leaves)
     symbols = set()
     for (x, y), lab in entries.items():

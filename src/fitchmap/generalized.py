@@ -10,14 +10,14 @@ vertex is the cluster C[y] = X_m minus in(y) of a leaf y in a class X_m,
 and the edge above it carries m.  assemble() builds it in one cluster
 walk over every class.
 
-recognize() reads the map through column scans in C: one gives each leaf's
-class symbol (T1), one each leaf's in-mask.  The cluster walk takes the
-symbol classes once, in alphabet order, as member masks in the map's own
-leaf order: the first class that is not simple Fitch is the T2 witness,
-and only its digraph is built, to name the triad.  Otherwise the assembled
-tree is certified once with explains(); by the characterization theorem
-this passes exactly on tree-like maps, so the scan of arcs entering a
-class from outside runs only after a failed certificate, to name T3 or T4.
+recognize() scans the map's columns once, in C, for each leaf's in-mask;
+the code at a leaf's lowest in-arc is its class when T1 holds.  One cluster
+walk takes these classes in alphabet order, as member masks in the map's
+leaf order, and explains() certifies the tree once; by the characterization
+theorem this passes exactly on tree-like maps.  Only a failure runs the
+diagnostics, on one scan of the entries equal to each column's class code:
+T1, else T2 from the walk's failing class (only its digraph is built, to
+name the triad), else the arcs entering a class from outside, T3 or T4.
 """
 
 from __future__ import annotations
@@ -151,22 +151,29 @@ class RecognitionReport:
         return out
 
 
+def _t1_violation(fmap: FitchMap, ins: list[int], eq: list[int]) -> Optional[T1Violation]:
+    """The first leaf, in map order, with an in-arc (a bit of ins[x]) that
+    does not carry its lowest in-arc's code (eq[x] masks the rows that do)."""
+    for leaf, m, e in zip(fmap.leaves, ins, eq):
+        if m & ~e:
+            shown = {fmap.label(y, leaf) for y in fmap.leaves if y != leaf} - {NO_EVENT}
+            return T1Violation(leaf=leaf, symbols=tuple(sorted(shown)))
+    return None
+
+
 def compute_classes(fmap: FitchMap) -> Union[QuasiPartition, T1Violation]:
     """Sort leaves into per-symbol classes by their incoming event symbols.
 
     A leaf with two distinct incoming symbols belongs to no class, which is
     exactly a T1 failure; the first such leaf (in map order) is returned.
     """
-    found = fmap._column_symbols()
-    if len(found) < fmap.n:
-        leaf = fmap.leaves[len(found)]
-        shown = {fmap.label(y, leaf) for y in fmap.leaves if y != leaf}
-        shown.discard(NO_EVENT)
-        return T1Violation(leaf=leaf, symbols=tuple(sorted(shown)))
-    classes: dict[Label, list[str]] = {NO_EVENT: []}
-    for s in fmap.alphabet:
-        classes[s] = []
-    for leaf, c in zip(fmap.leaves, found):
+    ins = fmap._in_masks()
+    codes = fmap._lowest_in_codes(ins)
+    t1 = _t1_violation(fmap, ins, fmap._eq_masks(codes))
+    if t1 is not None:
+        return t1
+    classes: dict[Label, list[str]] = {lab: [] for lab in (NO_EVENT, *fmap.alphabet)}
+    for leaf, c in zip(fmap.leaves, codes):
         classes[fmap.decode(c)].append(leaf)
     return QuasiPartition(classes)
 
@@ -193,19 +200,14 @@ def _class_masks(fmap: FitchMap, codes: list[int]) -> list[int]:
     return masks
 
 
-def _outside_arcs(fmap: FitchMap, classes: QuasiPartition) -> Optional[Union[T3Violation, T4Violation]]:
+def _outside_arcs(fmap: FitchMap, codes: list[int], eq: list[int]) -> Optional[Union[T3Violation, T4Violation]]:
     """First arc (y, x) that enters x from outside x's class but does not
-    carry x's class code: T3 for a symbol class, T4 for a NO_EVENT leaf,
-    which is a class of its own.  Order: symbol classes in alphabet order,
-    the NO_EVENT class last, then x, then y.  One column scan gives, per
-    leaf x, the mask of the rows whose entry (y, x) is x's class code."""
-    codes = _class_codes(fmap, classes)
+    carry x's class code codes[x] (eq[x] masks the rows that do): T3 for a
+    symbol class, T4 for a NO_EVENT leaf, a class of its own.  Order: symbol
+    classes in alphabet order, the NO_EVENT class last, then x, then y."""
     members = _class_masks(fmap, codes)
     full = (1 << fmap.n) - 1
-    misses = [
-        (full ^ (members[c] if c else 1 << x)) & ~eq
-        for x, (c, eq) in enumerate(zip(codes, fmap._eq_masks(codes)))
-    ]
+    misses = [(full ^ (members[c] if c else 1 << x)) & ~e for x, (c, e) in enumerate(zip(codes, eq))]
     bad = [x for x, miss in enumerate(misses) if miss]
     if not bad:
         return None
@@ -229,7 +231,19 @@ def check_conditions(fmap: FitchMap, classes: QuasiPartition) -> Optional[Violat
         assemble(fmap, classes)
     except NotFitch as exc:
         return T2Violation(exc.symbol, find_forbidden_triad(exc.digraph))
-    return _outside_arcs(fmap, classes)
+    codes = _class_codes(fmap, classes)
+    return _outside_arcs(fmap, codes, fmap._eq_masks(codes))
+
+
+def _walk(fmap: FitchMap, members: list[int], ins: list[int]) -> LabeledTree:
+    """The cluster walk over the class member masks, in alphabet order."""
+    return _cluster_tree(fmap.leaves, list(zip(fmap.alphabet, members[1:])), ins)
+
+
+def _class_digraph(fmap: FitchMap, members: int) -> Digraph:
+    """The digraph of one class, the arcs among the leaves of a member mask."""
+    idx = list(_bits(members))
+    return Digraph._from_masks(tuple(map(fmap.leaves.__getitem__, idx)), *fmap._arc_masks(idx))
 
 
 def assemble(fmap: FitchMap, classes: QuasiPartition) -> LabeledTree:
@@ -244,33 +258,37 @@ def assemble(fmap: FitchMap, classes: QuasiPartition) -> LabeledTree:
     """
     members = _class_masks(fmap, _class_codes(fmap, classes))
     try:
-        return _cluster_tree(fmap.leaves, list(zip(fmap.alphabet, members[1:])), fmap._in_masks())
+        return _walk(fmap, members, fmap._in_masks())
     except NotFitch as exc:
-        # a class that is not simple Fitch has at least three members
-        idx = list(_bits(exc.members))
-        exc.digraph = Digraph._from_masks(tuple(map(fmap.leaves.__getitem__, idx)), *fmap._arc_masks(idx))
+        exc.digraph = _class_digraph(fmap, exc.members)
         raise
 
 
 def recognize(fmap: FitchMap) -> RecognitionReport:
     """Decide tree-likeness; on success the report carries the unique
     least-resolved explaining tree, certified by explains(), otherwise the
-    violation witness that check_conditions() names.  T2 is named from
-    assemble()'s own class walk; the outside-arc scan for T3 and T4 runs
-    only after a failed certificate."""
+    violation witness that compute_classes() and check_conditions() name.
+    The walk takes each leaf's class from its lowest in-arc, exact under
+    T1; a certified tree has one symbol per column, so T1 holds.  Only a
+    failed walk or certificate scans the columns again, once, to name T1,
+    then T2 from the walk's failing class, then T3 or T4."""
     limit = 2 * fmap.n - 2
     if len(fmap.alphabet) > limit:
         return RecognitionReport(None, AlphabetTooLarge(len(fmap.alphabet), limit))
-    classes = compute_classes(fmap)
-    if isinstance(classes, T1Violation):
-        return RecognitionReport(None, classes)
+    ins = fmap._in_masks()
+    codes = fmap._lowest_in_codes(ins)
+    failed = None
     try:
-        tree = assemble(fmap, classes)
+        tree = _walk(fmap, _class_masks(fmap, codes), ins)
+        if explains(tree, fmap):
+            return RecognitionReport(tree, None)
     except NotFitch as exc:
-        return RecognitionReport(None, T2Violation(exc.symbol, find_forbidden_triad(exc.digraph)))
-    if explains(tree, fmap):
-        return RecognitionReport(tree, None)
-    return RecognitionReport(None, _outside_arcs(fmap, classes))
+        failed = exc
+    eq = fmap._eq_masks(codes)
+    reason = _t1_violation(fmap, ins, eq)
+    if reason is None and failed is not None:
+        reason = T2Violation(failed.symbol, find_forbidden_triad(_class_digraph(fmap, failed.members)))
+    return RecognitionReport(None, reason or _outside_arcs(fmap, codes, eq))
 
 
 def recognize_no_otimes(fmap: FitchMap) -> RecognitionReport:

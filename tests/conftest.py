@@ -115,6 +115,24 @@ def code_rows(fmap: FitchMap) -> list[list[int]]:
     return [list(fmap._row(i)) for i in range(fmap.n)]
 
 
+def column_reference(rows, targets):
+    """Per column of the code rows, read entry by entry: the mask of the
+    rows holding a symbol, the mask of the rows equal to the column's
+    target, and the code at the lowest row holding a symbol (0 for none);
+    and the column symbols up to the first column with two."""
+    columns = [list(col) for col in zip(*rows)]
+    ins = [sum(1 << y for y, c in enumerate(col) if c > 0) for col in columns]
+    eqs = [sum(1 << y for y, c in enumerate(col) if c == t) for col, t in zip(columns, targets)]
+    lowest = [next((c for c in col if c > 0), 0) for col in columns]
+    symbols = []
+    for col in columns:
+        seen = set(col) - {0, -1}
+        if len(seen) > 1:
+            break
+        symbols.append(seen.pop() if seen else 0)
+    return ins, eqs, lowest, symbols
+
+
 def random_code_map(rng: random.Random, n: int, n_symbols: int) -> FitchMap:
     """Random code matrix over n leaves, every symbol code present."""
     codes = list(range(1, n_symbols + 1))

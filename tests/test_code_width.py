@@ -6,7 +6,7 @@ a reference that reads the entries one by one."""
 
 import pytest
 
-from conftest import code_rows, reference_evaluate
+from conftest import code_rows, column_reference, reference_evaluate
 from fitchmap.core import NO_EVENT, FitchMap, LabeledTree, QuasiPartition, make_fitch_map
 from fitchmap.evaluate import evaluate, explains
 from fitchmap.generalized import (
@@ -80,21 +80,6 @@ def both_ways(leaves, alphabet, rows):
     return listed, read
 
 
-def column_reference(rows, targets):
-    """Per column, the rows holding a symbol and the rows equal to the
-    target; and the column symbols up to the first column with two."""
-    columns = [list(col) for col in zip(*rows)]
-    ins = [sum(1 << y for y, c in enumerate(col) if c > 0) for col in columns]
-    eqs = [sum(1 << y for y, c in enumerate(col) if c == t) for col, t in zip(columns, targets)]
-    symbols = []
-    for col in columns:
-        seen = set(col) - {0, -1}
-        if len(seen) > 1:
-            break
-        symbols.append(seen.pop() if seen else 0)
-    return ins, eqs, symbols
-
-
 class TestCaterpillarWidths:
     @pytest.mark.parametrize("k", [127, 128])
     def test_tree_like(self, k):
@@ -115,9 +100,12 @@ class TestCaterpillarWidths:
         assert recognize(listed).tree == recognize(read).tree
         assert recognize(listed).tree != tree  # the spine edges contract
         assert compute_classes(listed).members("z") == {f"z{i}" for i in range(1, 7)}
-        ins, eqs, symbols = column_reference(rows, [0] * len(rows))
+        ins, eqs, lowest, symbols = column_reference(rows, [0] * len(rows))
         assert listed._in_masks() == ins
-        assert listed._column_symbols() == symbols
+        # one symbol per column: it is the lowest in-arc's, and the class
+        assert listed._lowest_in_codes(ins) == lowest == symbols
+        classes = compute_classes(listed)
+        assert [classes.class_of(x) for x in leaves] == [listed.decode(c) for c in symbols]
 
     @pytest.mark.parametrize("k", [127, 128])
     @pytest.mark.parametrize("kind", ["T1", "T2", "T3"])
@@ -172,10 +160,11 @@ class TestWideMaps:
             assert compute_classes(m) == T1Violation(leaf=leaves[first_bad], symbols=tuple(sorted(shown)))
             # each column's target is one of its own entries
             targets = [row[x] for x, row in zip(range(n), rows[1:] + rows[:1])]
-            ins, eqs, symbols = column_reference(rows, targets)
+            ins, eqs, lowest, symbols = column_reference(rows, targets)
             assert m._in_masks() == ins
             assert m._eq_masks(targets) == eqs
-            assert m._column_symbols() == symbols == rows[-1][:first_bad]
+            assert m._lowest_in_codes(ins) == lowest
+            assert lowest[:first_bad] == symbols == rows[-1][:first_bad]
             star = LabeledTree.build(tuple((nm, NO_EVENT) for nm in leaves))
             assert not explains(star, m)
         # forged classes: the clean columns by their symbol, the rest with

@@ -6,11 +6,12 @@ from pathlib import Path
 import pytest
 
 import fitchmap.core
-from conftest import code_rows, random_code_map
+from conftest import code_rows, column_reference, random_code_map
 from fitchmap.core import (
     NO_EVENT,
     DuplicateLeaf,
     DuplicateLeafName,
+    FitchMap,
     InvalidToken,
     LabeledTree,
     MissingEntry,
@@ -26,6 +27,7 @@ from fitchmap.core import (
     UnknownLeaf,
     make_fitch_map,
 )
+from fitchmap.generalized import compute_classes
 
 
 def test_no_event_is_a_singleton():
@@ -179,6 +181,14 @@ class TestLabeledTree:
         assert relabeled.same_topology(t)
         assert relabeled.label(t.vertex_of("a")) == "1"
 
+    @pytest.mark.parametrize("label", ["x y", 5, "", "-", None])
+    def test_with_labels_validates_labels(self, label):
+        # each would be written as a tree that read_tree rejects, or
+        # evaluate to a map whose alphabet is not a set of symbols
+        t = LabeledTree.build((("a", NO_EVENT), ("b", "1")))
+        with pytest.raises(InvalidToken):
+            t.with_labels([None, label, NO_EVENT])
+
     def test_unknown_leaf(self):
         t = LabeledTree.build((("a", NO_EVENT), ("b", "1")))
         with pytest.raises(UnknownLeaf):
@@ -193,6 +203,55 @@ class TestLabeledTree:
         b.child(root, NO_EVENT, name="c")
         t = b.freeze()
         assert repr(t) == "<LabeledTree ((a:-,b:1):2,c:-);>"
+
+
+class TestFitchMapFromRows:
+    """FitchMap(leaves, alphabet, rows) with list rows checks what
+    make_fitch_map checks of its input."""
+
+    def test_valid_rows_build(self):
+        fm = FitchMap(["a", "b", "c"], ("1", "2"), [[-1, 1, 0], [2, -1, 0], [2, 1, -1]])
+        assert fm == make_fitch_map(
+            ["a", "b", "c"],
+            {("a", "b"): "1", ("a", "c"): NO_EVENT, ("b", "a"): "2",
+             ("b", "c"): NO_EVENT, ("c", "a"): "2", ("c", "b"): "1"},
+        )
+
+    def test_ragged_rows(self):
+        # four codes in all, as two leaves need, but not two rows of two
+        with pytest.raises(ValueError):
+            FitchMap(["a", "b"], ("1",), [[-1, 1, 0], [0]])
+
+    @pytest.mark.parametrize("leaves, error", [
+        (["a", "a"], DuplicateLeaf),
+        (["a"], TooFewLeaves),
+        (["a", "b c"], InvalidToken),
+    ])
+    def test_leaves(self, leaves, error):
+        n = len(leaves)
+        rows = [[-1 if i == j else 0 for j in range(n)] for i in range(n)]
+        with pytest.raises(error):
+            FitchMap(leaves, (), rows)
+
+    @pytest.mark.parametrize("rows", [
+        [[-1, 2], [1, -1]],   # past the alphabet
+        [[-1, -2], [1, -1]],  # below the diagonal's -1
+        [[-1, -1], [1, -1]],  # -1 off the diagonal
+        [[0, 1], [1, -1]],    # no -1 on the diagonal
+    ])
+    def test_codes(self, rows):
+        with pytest.raises(ValueError):
+            FitchMap(["a", "b"], ("1",), rows)
+
+    @pytest.mark.parametrize("alphabet, codes, error", [
+        (("1", "2"), (1, 1), ValueError),  # "2" occurs in no entry
+        (("1", "1"), (1, 2), ValueError),  # a symbol twice
+        (("x y", "2"), (1, 2), InvalidToken),
+        ((5, "2"), (1, 2), InvalidToken),
+    ])
+    def test_alphabet(self, alphabet, codes, error):
+        with pytest.raises(error):
+            FitchMap(["a", "b"], alphabet, [[-1, codes[0]], [codes[1], -1]])
 
 
 class TestQuasiPartition:
@@ -229,19 +288,15 @@ class TestCodeMatrixAccessors:
                     assert fmap.decode(fmap._row(i)[j]) == fmap.label(x, y)
         # the column scans against the transposed rows
         columns = [list(col) for col in zip(*rows)]
-        masks = [sum(1 << y for y, c in enumerate(col) if c > 0) for col in columns]
-        assert fmap._in_masks() == masks
         targets = [random.Random(seed + x).choice(col) for x, col in enumerate(columns)]
-        assert fmap._eq_masks(targets) == [
-            sum(1 << y for y, c in enumerate(col) if c == t) for col, t in zip(columns, targets)
-        ]
-        symbols = []
-        for col in columns:
-            seen = set(col) - {0, -1}
-            if len(seen) > 1:
-                break
-            symbols.append(seen.pop() if seen else 0)
-        assert fmap._column_symbols() == symbols
+        ins, eqs, lowest, symbols = column_reference(rows, targets)
+        assert fmap._in_masks() == ins
+        assert fmap._eq_masks(targets) == eqs
+        assert fmap._lowest_in_codes(ins) == lowest
+        assert lowest[:len(symbols)] == symbols
+        # the first column with two symbols is the T1 leaf
+        assert len(symbols) < fmap.n
+        assert compute_classes(fmap).leaf == fmap.leaves[len(symbols)]
 
     def test_only_core_reads_the_code_matrix(self):
         # the storage of the code matrix is FitchMap's alone

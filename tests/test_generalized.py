@@ -514,10 +514,40 @@ class TestRecognizeNoOtimes:
                 assert fast.tree.same_topology(full.tree)
 
 
+def counting_column_scans(mp, calls):
+    """Patch FitchMap's two column scans to append their names to calls.
+    _in_masks runs its scan through _eq_masks; that inner call is not
+    counted, so every "_eq_masks" in calls is a scan of its own."""
+    real_in, real_eq = FitchMap._in_masks, FitchMap._eq_masks
+    inside = []
+
+    def counting_in(fmap):
+        calls.append("_in_masks")
+        inside.append(True)
+        try:
+            return real_in(fmap)
+        finally:
+            inside.pop()
+
+    def counting_eq(fmap, targets):
+        if not inside:
+            calls.append("_eq_masks")
+        return real_eq(fmap, targets)
+
+    mp.setattr(FitchMap, "_in_masks", counting_in)
+    mp.setattr(FitchMap, "_eq_masks", counting_eq)
+
+
 class TestSinglePipeline:
     def test_success_path_runs_no_diagnostics(self, monkeypatch):
         maps = [EXAMPLE_MAP] + [random_tree_like_instance(seed, 64, 4)[1] for seed in range(4)]
         maps.append(random_tree_like_instance(4, 130, 4)[1])
+        # 128 symbols: two bytes per code
+        comb = "w"
+        for i in range(128):
+            comb = ((f"t{i:03d}", f"s{i:03d}"), (comb, NO_EVENT))
+        maps.append(evaluate(LabeledTree.build(comb)))
+        assert maps[-1]._row(0).typecode == "h"
         expected = [recognize(m).tree for m in maps]
         assert expected[0] == EXAMPLE_TREE
 
@@ -542,18 +572,23 @@ class TestSinglePipeline:
                 yield row
 
         monkeypatch.setattr(evaluate_module, "_templates", counting_templates)
+        scans = []
+        counting_column_scans(monkeypatch, scans)
         for m, tree in zip(maps, expected):
             walked.clear()
+            scans.clear()
             assert recognize(m).tree == tree
             # the whole tree is evaluated exactly once, by the certificate
             assert sorted(walked) == [(tree, j) for j in range(tree.n_leaves)]
+            # one column pass, for the in-masks; no diagnostic scan
+            assert scans == ["_in_masks"]
 
     def test_failure_witnesses_match_check_conditions(self, monkeypatch):
         rng = random.Random(311)
         dead_ends = uncertified = 0
         real_build = FitchMap._arc_masks
         real_walk = fitchmap.generalized._cluster_tree
-        built, walks = [], []
+        built, walks, scans = [], [], []
 
         def counting_build(fmap, idx):
             built.append(tuple(idx))
@@ -581,16 +616,20 @@ class TestSinglePipeline:
             t1 = isinstance(classes, T1Violation)
             built.clear()
             walks.clear()
+            scans.clear()
             with monkeypatch.context() as mp:
                 mp.setattr(FitchMap, "_arc_masks", counting_build)
+                counting_column_scans(mp, scans)
                 mp.setattr(fitchmap.generalized, "_cluster_tree", counting_walk)
                 for name in ("check_conditions", "least_resolved_simple"):
                     mp.setattr(fitchmap.generalized, name, second_pipeline)
                 mp.setattr(fitchmap.simple_fitch, "evaluate", second_pipeline)
                 report = recognize(m)
-            # one walk over the classes; only a T2 verdict gathers a class
-            # digraph, the failing class's, once
-            assert walks == ([] if t1 else [m.leaves])
+            # one walk over the classes, on every map; only a T2 verdict
+            # gathers a class digraph, the failing class's, once
+            assert walks == [m.leaves]
+            # a negative verdict scans the columns once more, to name it
+            assert scans == ["_in_masks"] + ["_eq_masks"] * (not report.tree_like)
             t2 = not report.tree_like and report.reason.kind == "T2"
             assert len(built) == t2
             if t2:
