@@ -10,7 +10,9 @@ builders (make_fitch_map, read_map, evaluate) write from checked input.
 Trees are stored in canonical form: vertices are renumbered in preorder
 with the children of every vertex ordered by the smallest leaf name in
 their subtree.  Two equal trees therefore have identical arrays, which
-makes equality, hashing and topology comparison trivial.
+makes equality, hashing and topology comparison trivial.  In preorder a
+child's id is larger than its parent's, so tree walks are loops over the
+vertex ids: top-down in id order, bottom-up in reverse, with no stack.
 """
 
 from __future__ import annotations
@@ -284,18 +286,10 @@ class LabeledTree:
                 raise NonPhylogenetic(f"vertex {v} has out-of-range parent {p}")
             children[p].append(v)
 
-        order: list[int] = []
-        stack = [root]
-        seen = [False] * n
-        seen[root] = True
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            for c in children[v]:
-                if seen[c]:
-                    raise NonPhylogenetic("parent structure contains a cycle")
-                seen[c] = True
-                stack.append(c)
+        # each vertex has one parent, so the vertices this misses lie on a cycle
+        order = [root]
+        for v in order:
+            order.extend(children[v])
         if len(order) != n:
             raise NonPhylogenetic("tree is disconnected")
 
@@ -322,60 +316,45 @@ class LabeledTree:
         # canonical order: children sorted by smallest leaf name in subtree
         minleaf: list[str] = [""] * n
         for v in reversed(order):
-            minleaf[v] = names[v] if not children[v] else min(minleaf[c] for c in children[v])
-        for v in range(n):
-            children[v].sort(key=lambda c: minleaf[c])
+            kids = children[v]
+            if kids:
+                kids.sort(key=minleaf.__getitem__)
+                minleaf[v] = minleaf[kids[0]]
+            else:
+                minleaf[v] = names[v]
 
-        # preorder renumbering
-        new_of = [0] * n
+        # the input's vertices in canonical preorder; vertex pre[i] becomes i
+        pre: list[int] = []
         stack = [root]
-        idx = 0
         while stack:
             v = stack.pop()
-            new_of[v] = idx
-            idx += 1
-            for c in reversed(children[v]):
-                stack.append(c)
+            pre.append(v)
+            stack.extend(reversed(children[v]))
+        new_of = [0] * n
+        for i, v in enumerate(pre):
+            new_of[v] = i
 
-        new_parent = [-1] * n
-        new_labels: list[Optional[Label]] = [None] * n
-        new_names: list[Optional[str]] = [None] * n
-        new_children: list[tuple[int, ...]] = [()] * n
-        for v in range(n):
-            nv = new_of[v]
-            p = parents[v]
-            new_parent[nv] = -1 if p is None else new_of[p]
-            new_labels[nv] = None if p is None else labels[v]
-            if not children[v]:
-                new_names[nv] = names[v]
-            new_children[nv] = tuple(sorted(new_of[c] for c in children[v]))
-
+        new_parent = [-1] + [new_of[parents[v]] for v in pre[1:]]
+        new_children = [tuple([new_of[c] for c in children[v]]) for v in pre]
+        new_names = tuple(map(names.get, pre))
+        leafv = [v for v in range(n) if not new_children[v]]
         depth = [0] * n
         for v in range(1, n):
             depth[v] = depth[new_parent[v]] + 1
-
-        # forward pass assigns leaf positions, reverse pass folds them up
-        pos = 0
-        leafv: list[int] = []
-        lo = [0] * n
-        hi = [0] * n
-        for v in range(n):
-            if not new_children[v]:
-                lo[v] = pos
-                hi[v] = pos + 1
-                pos += 1
-                leafv.append(v)
+        # a leaf spans its own position; an inner vertex, its first
+        # child's start to its last child's end
+        span: list = [None] * n
+        for pos, v in enumerate(leafv):
+            span[v] = (pos, pos + 1)
         for v in range(n - 1, -1, -1):
             kids = new_children[v]
             if kids:
-                lo[v] = lo[kids[0]]
-                hi[v] = hi[kids[-1]]
-        span = [(lo[v], hi[v]) for v in range(n)]
+                span[v] = (span[kids[0]][0], span[kids[-1]][1])
 
         object.__setattr__(self, "_parent", tuple(new_parent))
         object.__setattr__(self, "_children", tuple(new_children))
-        object.__setattr__(self, "_labels", tuple(new_labels))
-        object.__setattr__(self, "_names", tuple(new_names))
+        object.__setattr__(self, "_labels", (None, *[labels[v] for v in pre[1:]]))
+        object.__setattr__(self, "_names", new_names)
         object.__setattr__(self, "_name2v", {new_names[v]: v for v in leafv})
         object.__setattr__(self, "_depth", tuple(depth))
         object.__setattr__(self, "_span", tuple(span))
@@ -396,18 +375,17 @@ class LabeledTree:
         parents: list[Optional[int]] = []
         labels: list[Optional[Label]] = []
         names: dict[int, str] = {}
-
-        def add(node, parent: Optional[int], label: Optional[Label]) -> None:
+        # vertices are numbered in the order they are popped, i.e. preorder
+        stack = [(spec, None, None)]
+        while stack:
+            node, parent, label = stack.pop()
             vid = len(parents)
             parents.append(parent)
             labels.append(label)
             if isinstance(node, str):
                 names[vid] = node
             else:
-                for child, lab in node:
-                    add(child, vid, lab)
-
-        add(spec, None, None)
+                stack.extend((child, vid, lab) for child, lab in reversed(node))
         return cls(parents, labels, names)
 
     @classmethod
@@ -428,14 +406,9 @@ class LabeledTree:
         lab[0] = None
         _check_edge_labels(lab, 0)
         new = object.__new__(LabeledTree)
-        object.__setattr__(new, "_parent", self._parent)
-        object.__setattr__(new, "_children", self._children)
+        for slot in self.__slots__:
+            object.__setattr__(new, slot, getattr(self, slot))
         object.__setattr__(new, "_labels", tuple(lab))
-        object.__setattr__(new, "_names", self._names)
-        object.__setattr__(new, "_name2v", self._name2v)
-        object.__setattr__(new, "_depth", self._depth)
-        object.__setattr__(new, "_span", self._span)
-        object.__setattr__(new, "_leafv", self._leafv)
         return new
 
     # -- basic accessors -----------------------------------------------------
@@ -524,22 +497,18 @@ class LabeledTree:
 
     def topology_key(self):
         """Canonical label-free form; equal keys mean equal topologies."""
-        # postorder with an explicit stack; deep chains must not recurse
-        done: dict[int, object] = {}
-        stack: list[tuple[int, bool]] = [(0, False)]
-        while stack:
-            v, expanded = stack.pop()
-            if self.is_leaf(v):
-                done[v] = self._names[v]
-            elif expanded:
-                done[v] = tuple(done[c] for c in self._children[v])
-            else:
-                stack.append((v, True))
-                stack.extend((c, False) for c in self._children[v])
+        # children have larger ids, so a reverse loop meets them first
+        done: list = list(self._names)
+        for v in range(len(done) - 1, -1, -1):
+            kids = self._children[v]
+            if kids:
+                done[v] = tuple([done[c] for c in kids])
         return done[0]
 
     def same_topology(self, other: "LabeledTree") -> bool:
-        return self.topology_key() == other.topology_key()
+        """Equal topology_key()s; in canonical form that is equal parent
+        arrays and equal leaf names."""
+        return self._parent == other._parent and self._names == other._names
 
     def __eq__(self, other):
         if not isinstance(other, LabeledTree):
@@ -555,20 +524,14 @@ class LabeledTree:
 
     def _text(self) -> str:
         """Canonical serialized form of the rooted-tree body (no ';')."""
-        done: dict[int, str] = {}
-        stack: list[tuple[int, bool]] = [(0, False)]
-        while stack:
-            v, expanded = stack.pop()
-            if self.is_leaf(v):
-                done[v] = self._names[v]
-            elif expanded:
-                parts = (
-                    f"{done[c]}:{label_token(self._labels[c])}" for c in self._children[v]
-                )
+        # children have larger ids, so a reverse loop meets them first
+        done: list = list(self._names)
+        labels = self._labels
+        for v in range(len(done) - 1, -1, -1):
+            kids = self._children[v]
+            if kids:
+                parts = [f"{done[c]}:{label_token(labels[c])}" for c in kids]
                 done[v] = "(" + ",".join(parts) + ")"
-            else:
-                stack.append((v, True))
-                stack.extend((c, False) for c in self._children[v])
         return done[0]
 
     def __repr__(self):

@@ -154,9 +154,6 @@ def informative_triples(fmap: FitchMap) -> TripleSet:
         enc = tuple(
             fmap.decode(rows[idx[i]][idx[j]]) for i, j in _PAIR_ORDER
         )
-        symbols = {lab for lab in enc if lab is not NO_EVENT}
-        if len(symbols) > 2:
-            continue
         hit = table.match(enc)
         if hit is not None:
             i, j, k = hit

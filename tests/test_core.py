@@ -142,6 +142,18 @@ class TestLabeledTree:
                 {2: "a", 3: "b"},
             )
 
+    @pytest.mark.parametrize(
+        "parents, names",
+        [
+            ([None, 0, 0, 4, 3], {1: "a", 2: "b"}),  # 3 and 4 are each other's parent
+            ([None, 0, 0, 3, 4, 4], {1: "a", 2: "b", 5: "c"}),  # 3 and 4 are their own
+        ],
+    )
+    def test_parent_cycle_rejected(self, parents, names):
+        labels = [None] + [NO_EVENT] * (len(parents) - 1)
+        with pytest.raises(NonPhylogenetic, match="^tree is disconnected$"):
+            LabeledTree(parents, labels, names)
+
     def test_duplicate_leaf_names_rejected(self):
         with pytest.raises(DuplicateLeafName):
             LabeledTree.build((("a", NO_EVENT), ("a", "1")))

@@ -1,22 +1,29 @@
-"""A digest of recognize()'s reports over a seeded corpus, to pin every
-verdict, witness and tree through refactors of the recognition pipeline.
+"""Digests over seeded corpora, to pin outputs through refactors: one of
+recognize()'s reports, to pin every verdict, witness and tree of the
+recognition pipeline, and one of LabeledTree's canonical form, to pin the
+arrays every tree stores and the text and keys derived from them.
 
-A change that moves the digest changed what some report says; find the map
-by comparing report by report against the last commit that matched."""
+A change that moves a digest changed what some report or tree says; find
+the input by comparing one by one against the last commit that matched."""
 
 import hashlib
 import json
 import random
 from collections import Counter
 
-from fitchmap.core import NO_EVENT, make_fitch_map
+from fitchmap.core import NO_EVENT, LabeledTree, make_fitch_map
 from fitchmap.generalized import recognize
-from fitchmap.io import write_tree
+from fitchmap.io import read_tree, write_tree
 from fitchmap.oracle import random_tree_like_instance
 
 # sha256 of the corpus's reports, as v1 JSON with sorted keys, each
 # followed by the tree's text ("" for a not-tree-like map)
 GOLDEN = "a838334361a4398d325d4d75840313c95c661165b2ceda4a8a9413d7bd972664"
+
+# sha256 of the canonical-form corpus: per tree, the repr of each stored
+# array, its text and the repr of its topology key
+CANONICAL = "2929620191300a413a8f66457522df8245f00fad41c879faafdb5515bf627458"
+SLOTS = ("_parent", "_children", "_labels", "_names", "_name2v", "_depth", "_span", "_leafv")
 
 
 def corpus():
@@ -46,3 +53,45 @@ def test_report_digest():
     for kind in ("tree-like", "T1", "T2", "T3"):
         assert kinds[kind] >= 20, kinds
     assert digest.hexdigest() == GOLDEN
+
+
+def shuffled(tree: LabeledTree, rng: random.Random) -> LabeledTree:
+    """The tree rebuilt from its own arrays, vertex v renamed perm[v]."""
+    n = tree.n_vertices
+    perm = list(range(n))
+    rng.shuffle(perm)
+    parents: list = [None] * n
+    labels: list = [None] * n
+    for v in range(n):
+        p = tree.parent(v)
+        parents[perm[v]] = None if p is None else perm[p]
+        labels[perm[v]] = tree.label(v)
+    names = {perm[v]: tree.name(v) for v in tree.leaf_vertices}
+    return LabeledTree(parents, labels, names)
+
+
+def tree_corpus():
+    """300 random trees, n from 2 to 70 and 0 to 3 symbols, each followed
+    by its rebuild from shuffled vertex ids, its round trip through the
+    .lnw text and a copy relabeled at random through with_labels."""
+    rng = random.Random(1313)
+    for seed in range(300):
+        n, k = rng.randint(2, 70), rng.randint(0, 3)
+        tree, _ = random_tree_like_instance(seed, n, k)
+        yield tree
+        rebuilt = shuffled(tree, rng)
+        assert rebuilt == tree
+        yield rebuilt
+        yield read_tree(write_tree(tree))
+        symbols = (NO_EVENT, *tree.event_symbols(), "x")
+        yield tree.with_labels([None] + [rng.choice(symbols) for _ in range(1, tree.n_vertices)])
+
+
+def test_canonical_form_digest():
+    digest = hashlib.sha256()
+    for tree in tree_corpus():
+        for slot in SLOTS:
+            digest.update(repr(getattr(tree, slot)).encode())
+        digest.update(tree._text().encode())
+        digest.update(repr(tree.topology_key()).encode())
+    assert digest.hexdigest() == CANONICAL

@@ -51,6 +51,7 @@ class TestDeepChains:
         tree.topology_key()
         text = write_tree(tree)
         assert read_tree(text) == tree
+        assert tree.same_topology(read_tree(text))
 
         fmap = evaluate(tree)
         report = recognize(fmap)
@@ -58,6 +59,13 @@ class TestDeepChains:
 
         g = Digraph(tree.leaf_names, fmap.event_arcs())
         assert least_resolved_simple(g) == tree
+
+    def test_build_survives_past_recursion_limit(self):
+        depth = sys.getrecursionlimit() + 200
+        spec = f"zz{depth - 1:05d}"
+        for i in range(depth - 1, -1, -1):
+            spec = ((f"z{i:05d}", NO_EVENT), (spec, "1"))
+        assert LabeledTree.build(spec) == caterpillar(depth)
 
     def test_aho_on_deep_caterpillar_triples(self):
         tree = caterpillar(40)
