@@ -532,6 +532,10 @@ class LabeledTree:
             if kids:
                 parts = [f"{done[c]}:{label_token(labels[c])}" for c in kids]
                 done[v] = "(" + ",".join(parts) + ")"
+                # drop the children's texts: the live ones are disjoint
+                # subtrees, so a deep chain holds O(n) characters at once
+                for c in kids:
+                    done[c] = None
         return done[0]
 
     def __repr__(self):

@@ -1,8 +1,9 @@
 """Hostile-shape and fuzzing checks that sit outside the acceptance
 criteria: deep chains past the interpreter recursion limit, parser
 behavior on corrupted inputs, the cost of .fm reading and writing, the
-memory of .fm reading, the cost of a negative verdict, the cost of
-building a deep class's tree and the cost of certifying a deep tree."""
+memory of .fm reading and of .lnw writing, the cost of a negative
+verdict, the cost of building a deep class's tree and the cost of
+certifying a deep tree."""
 
 import gc
 import random
@@ -233,6 +234,22 @@ class TestMapReaderMemory:
         assert fmap.n == 1024
         assert retained <= 1.5e6
         assert peak <= 6e6
+
+
+class TestTreeWriterMemory:
+    def test_deep_chain_text_peaks_linear(self):
+        """Writing a 4096-deep caterpillar, 53 KB of text, peaks at most 1 MB:
+        each subtree's text is dropped once its parent's text holds it."""
+        tree = caterpillar(4096)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            text = write_tree(tree)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(text) > 50_000
+        assert peak <= 1e6
 
 
 LATE = 16
