@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from array import array
 from functools import lru_cache
-from operator import itemgetter
 from sys import byteorder
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -646,10 +645,12 @@ class FitchMap:
     NO_EVENT, code i >= 1 is alphabet[i-1], and the diagonal holds -1.  The
     alphabet is always exactly the set of symbols that occur (surjectivity).
     Only this class reads the array; the rest of the package calls _row,
-    _in_masks, _lowest_in_codes, _eq_masks and _arc_masks.  The column scans
-    run in C: byte k of every entry of column x, read from row n-1 up to
-    row 0, is one strided slice of the array's bytes, and translating it
-    to "0"/"1" gives a mask with bit y for row y through int(..., 2).
+    _in_masks, _lowest_in_codes and _eq_masks, and gathers every digraph
+    on a subset of the leaves from the in-masks (simple_fitch._gather).
+    The column scans run in C: byte k of every entry of column x, read
+    from row n-1 up to row 0, is one strided slice of the array's bytes,
+    and translating it to "0"/"1" gives a mask with bit y for row y
+    through int(..., 2); only _eq_masks sees the code width.
     """
 
     __slots__ = ("leaves", "alphabet", "_index", "_start", "_codes", "_labels")
@@ -720,25 +721,6 @@ class FitchMap:
         row at the lowest bit of the in-mask ins[x]; 0 for no in-arc."""
         n, codes = self.n, self._codes
         return [codes[((m & -m).bit_length() - 1) * n + x] if m else 0 for x, m in enumerate(ins)]
-
-    def _arc_masks(self, idx: Sequence[int]) -> tuple[list[int], list[int]]:
-        """Out- and in-masks of the digraph on idx (at least two leaves), with
-        arc a->b where entry (idx[a], idx[b]) is a symbol, i.e. neither all
-        0 bytes nor all 0xff (the diagonal's -1).  The submatrix, axes
-        reversed, is picked byte by byte from its rows into one "0"/"1"
-        string read by int(..., 2) per row and column."""
-        n, k, size = self.n, len(idx), self._codes.itemsize
-        raw = self._codes.tobytes()
-        pick = itemgetter(*[j * size + b for j in reversed(idx) for b in range(size)])
-        sub = b"".join([bytes(pick(raw[i * n * size:(i + 1) * n * size])) for i in reversed(idx)])
-        zero = minus_one = -1
-        for b in range(size):
-            zero &= int(sub[b::size].translate(_equal_to(0)), 2)
-            minus_one &= int(sub[b::size].translate(_equal_to(255)), 2)
-        mat = format((1 << k * k) - 1 & ~(zero | minus_one), f"0{k * k}b")
-        out = [int(mat[r:r + k], 2) for r in range(k * k - k, -1, -k)]
-        in_ = [int(mat[c::k], 2) for c in range(k - 1, -1, -1)]
-        return out, in_
 
     def label(self, x: str, y: str) -> Label:
         try:

@@ -136,17 +136,16 @@ def label_consistent(tree: LabeledTree) -> bool:
     Equivalent to evaluate() succeeding; the two are checked against each
     other in the test suite.
     """
-    stack: list[tuple[int, object]] = [(0, None)]
-    while stack:
-        v, state = stack.pop()
-        for c in tree.children(v):
-            lab = tree.label(c)
-            if lab is NO_EVENT:
-                stack.append((c, state))
-            elif state is None or state == lab:
-                stack.append((c, lab))
-            else:
-                return False
+    parent, labels = tree._parent, tree._labels
+    state: list = [None] * len(parent)  # the root path's symbol, None for none
+    for v in range(1, len(parent)):
+        lab, s = labels[v], state[parent[v]]
+        if lab is NO_EVENT:
+            state[v] = s
+        elif s is None or s == lab:
+            state[v] = lab
+        else:
+            return False
     return True
 
 

@@ -35,7 +35,7 @@ from .core import (
     label_token,
 )
 from .evaluate import _root_paths, explains
-from .simple_fitch import Digraph, NotFitch, _bits, _cluster_tree, _structurally_least_resolved, find_forbidden_triad
+from .simple_fitch import Digraph, NotFitch, _bits, _cluster_tree, _gather, _structurally_least_resolved, find_forbidden_triad
 from .simple_fitch import least_resolved_simple  # unused here; perfbench/spans.py wraps it, else --trace 1 hits AttributeError
 
 
@@ -240,10 +240,11 @@ def _walk(fmap: FitchMap, members: list[int], ins: list[int]) -> LabeledTree:
     return _cluster_tree(fmap.leaves, list(zip(fmap.alphabet, members[1:])), ins)
 
 
-def _class_digraph(fmap: FitchMap, members: int) -> Digraph:
-    """The digraph of one class, the arcs among the leaves of a member mask."""
+def _class_digraph(fmap: FitchMap, members: int, ins: list[int]) -> Digraph:
+    """The digraph of one class, the arcs among the leaves of a member mask,
+    gathered from the map's in-masks ins."""
     idx = list(_bits(members))
-    return Digraph._from_masks(tuple(map(fmap.leaves.__getitem__, idx)), *fmap._arc_masks(idx))
+    return Digraph._from_masks(tuple(map(fmap.leaves.__getitem__, idx)), *_gather(ins, fmap.n, idx))
 
 
 def assemble(fmap: FitchMap, classes: QuasiPartition) -> LabeledTree:
@@ -257,10 +258,11 @@ def assemble(fmap: FitchMap, classes: QuasiPartition) -> LabeledTree:
     then; on a map that breaks T3 or T4 the tree fails to explain it.
     """
     members = _class_masks(fmap, _class_codes(fmap, classes))
+    ins = fmap._in_masks()
     try:
-        return _walk(fmap, members, fmap._in_masks())
+        return _walk(fmap, members, ins)
     except NotFitch as exc:
-        exc.digraph = _class_digraph(fmap, exc.members)
+        exc.digraph = _class_digraph(fmap, exc.members, ins)
         raise
 
 
@@ -287,7 +289,7 @@ def recognize(fmap: FitchMap) -> RecognitionReport:
     eq = fmap._eq_masks(codes)
     reason = _t1_violation(fmap, ins, eq)
     if reason is None and failed is not None:
-        reason = T2Violation(failed.symbol, find_forbidden_triad(_class_digraph(fmap, failed.members)))
+        reason = T2Violation(failed.symbol, find_forbidden_triad(_class_digraph(fmap, failed.members, ins)))
     return RecognitionReport(None, reason or _outside_arcs(fmap, codes, eq))
 
 

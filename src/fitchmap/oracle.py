@@ -161,32 +161,32 @@ def enumerate_consistent_labelings(
     Root-down state machine: below an uncommitted edge a label may stay
     NO_EVENT or commit to any symbol; below a committed edge only NO_EVENT
     or the same symbol may follow.  Inconsistent labelings are never
-    produced.
+    produced.  The choices are counted like an odometer over the vertex
+    ids in canonical preorder, parents before children, the last vertex
+    turning fastest and NO_EVENT first.
     """
     n = topology.n_vertices
     labels: list[Optional[Label]] = [None] * n
     state: list[Optional[str]] = [None] * n
+    used = [0] * n  # how many of its symbol choices each vertex has taken
     alphabet = tuple(alphabet)
-
-    def rec(v: int) -> Iterator[LabeledTree]:
-        if v == n:
-            yield topology.with_labels(labels)
-            return
-        parent_state = state[topology.parent(v)]
-        labels[v] = NO_EVENT
-        state[v] = parent_state
-        yield from rec(v + 1)
-        if parent_state is None:
-            for m in alphabet:
-                labels[v] = m
-                state[v] = m
-                yield from rec(v + 1)
+    v = 1
+    while True:
+        # every vertex from v on restarts at NO_EVENT under its parent's state
+        for u in range(v, n):
+            labels[u], state[u], used[u] = NO_EVENT, state[topology.parent(u)], 0
+        yield topology.with_labels(labels)
+        # advance the last vertex that still has a symbol choice
+        for v in range(n - 1, 0, -1):
+            s = state[topology.parent(v)]
+            choices = alphabet if s is None else (s,)
+            if used[v] < len(choices):
+                labels[v] = state[v] = choices[used[v]]
+                used[v] += 1
+                break
         else:
-            labels[v] = parent_state
-            state[v] = parent_state
-            yield from rec(v + 1)
-
-    yield from rec(1)
+            return
+        v += 1
 
 
 # ---------------------------------------------------------------------------

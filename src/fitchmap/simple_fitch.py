@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations, product
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .core import (
@@ -99,9 +100,7 @@ class Digraph:
         if len(set(vs)) != len(vs):
             raise ValueError("induced() got a repeated vertex")
         keep = [self._index[nm] for nm in vs]
-        out = [sum(1 << b for b, j in enumerate(keep) if self._out[i] >> j & 1) for i in keep]
-        in_ = [sum(1 << a for a, i in enumerate(keep) if self._in[j] >> i & 1) for j in keep]
-        return Digraph._from_masks(vs, out, in_)
+        return Digraph._from_masks(vs, *_gather(self._in, self.n, keep))
 
     def __eq__(self, other):
         if not isinstance(other, Digraph):
@@ -117,6 +116,23 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _gather(in_: Sequence[int], n: int, idx: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Out- and in-masks of the sub-digraph on the vertices idx, bit a
+    standing for idx[a], of the digraph on n vertices with in-masks in_.
+    The bits of idx, reversed, are picked from each formatted in-mask of
+    idx, reversed, into one k x k "0"/"1" string, read by int(..., 2) per
+    row (an in-mask) and column (an out-mask)."""
+    k = len(idx)
+    if not k:
+        return [], []
+    pick = itemgetter(*[n - 1 - i for i in reversed(idx)])
+    width = f"0{n}b"
+    mat = "".join(["".join(pick(format(in_[j], width))) for j in reversed(idx)])
+    out = [int(mat[c::k], 2) for c in range(k - 1, -1, -1)]
+    ins = [int(mat[r:r + k], 2) for r in range(k * k - k, -1, -k)]
+    return out, ins
 
 
 # arc slots of a 3-vertex digraph, in encoding order
@@ -359,7 +375,7 @@ def least_resolved_simple(g: Digraph, symbol: str = "1") -> LabeledTree:
     tree = _decompose(g, symbol)
     fm = evaluate(tree)
     perm = [fm._index[nm] for nm in g.vertices]
-    if fm._arc_masks(perm)[0] != g._out:
+    if _gather(fm._in_masks(), fm.n, perm)[0] != g._out:
         raise NotFitch("constructed tree does not evaluate back to the digraph")
     return tree
 

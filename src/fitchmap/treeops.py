@@ -208,24 +208,13 @@ def contract_edge(tree: LabeledTree, edge: tuple[int, int]) -> LabeledTree:
     if tree.is_leaf(v):
         raise OuterEdge("outer edges cannot be contracted (a leaf would vanish)")
 
-    old_n = tree.n_vertices
-    remap = {}
-    nxt = 0
-    for w in range(old_n):
-        if w != v:
-            remap[w] = nxt
-            nxt += 1
-    parents: list[Optional[int]] = [None] * (old_n - 1)
-    labels: list[Optional[Label]] = [None] * (old_n - 1)
-    names: dict[int, str] = {}
-    for w in range(old_n):
-        if w == v:
-            continue
+    # in canonical preorder u < v: v's children move to u, and every id
+    # above v shifts down by one
+    keep = [w for w in range(tree.n_vertices) if w != v]
+    parents: list[Optional[int]] = [None]
+    for w in keep[1:]:
         p = tree.parent(w)
-        if p == v:
-            p = u
-        parents[remap[w]] = None if p is None else remap[p]
-        labels[remap[w]] = tree.label(w)
-        if tree.is_leaf(w):
-            names[remap[w]] = tree.name(w)
+        parents.append(u if p == v else p - (p > v))
+    labels = [tree.label(w) for w in keep]
+    names = {i: tree.name(w) for i, w in enumerate(keep) if tree.is_leaf(w)}
     return LabeledTree(parents, labels, names)

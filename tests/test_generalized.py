@@ -33,7 +33,7 @@ from fitchmap.generalized import (
     recognize_no_otimes,
 )
 from fitchmap.oracle import random_tree_like_instance, witness_holds
-from fitchmap.simple_fitch import Digraph, NotFitch, _decompose
+from fitchmap.simple_fitch import Digraph, NotFitch, _decompose, _gather
 
 EXAMPLE_TREE = LabeledTree.build(
     (((("a", NO_EVENT), ("b", "2")), "2"), ("c", NO_EVENT))
@@ -56,8 +56,8 @@ def column_constant_map(assignment):
 
 
 def reference_class_digraph(fmap, member_idx):
-    """The per-entry class digraph build that the kernel FitchMap._arc_masks
-    replaced; the kernel must give exactly its vertices and masks."""
+    """The class digraph built entry by entry; the mask gather
+    simple_fitch._gather must give exactly its vertices and masks."""
     rows = code_rows(fmap)
     vs = tuple(fmap.leaves[i] for i in member_idx)
     rev = list(reversed(member_idx))
@@ -103,8 +103,9 @@ def reference_assemble(fmap, classes):
 
 
 def class_digraph(fmap, idx):
-    """The digraph on the members idx as assemble() builds it."""
-    return Digraph._from_masks(tuple(fmap.leaves[i] for i in idx), *fmap._arc_masks(idx))
+    """The digraph on the members idx as assemble() builds it, gathered
+    from the map's in-masks."""
+    return Digraph._from_masks(tuple(fmap.leaves[i] for i in idx), *_gather(fmap._in_masks(), fmap.n, idx))
 
 
 def assembled(assemble_fn, fmap, classes):
@@ -124,8 +125,8 @@ def reversed_alphabet(fmap):
 
 
 class TestClassDigraphKernel:
-    """FitchMap._arc_masks, which builds every class digraph and the
-    self-check's digraph, against the per-entry build it replaced."""
+    """simple_fitch._gather, which builds every class digraph and the
+    self-check's digraph from in-masks, against the per-entry build."""
 
     @staticmethod
     def assert_matches(fmap, member_idx):
@@ -558,7 +559,7 @@ class TestSinglePipeline:
             monkeypatch.setattr(fitchmap.generalized, name, diagnostic)
         monkeypatch.setattr(fitchmap.simple_fitch, "evaluate", diagnostic)
         # the walk reads classes and in-masks; no class digraph is gathered
-        monkeypatch.setattr(FitchMap, "_arc_masks", diagnostic)
+        monkeypatch.setattr(fitchmap.generalized, "_gather", diagnostic)
         # the package re-exports evaluate(), which hides the module's name
         evaluate_module = importlib.import_module("fitchmap.evaluate")
         walked = []
@@ -586,13 +587,13 @@ class TestSinglePipeline:
     def test_failure_witnesses_match_check_conditions(self, monkeypatch):
         rng = random.Random(311)
         dead_ends = uncertified = 0
-        real_build = FitchMap._arc_masks
+        real_build = fitchmap.generalized._gather
         real_walk = fitchmap.generalized._cluster_tree
         built, walks, scans = [], [], []
 
-        def counting_build(fmap, idx):
+        def counting_build(in_, n, idx):
             built.append(tuple(idx))
-            return real_build(fmap, idx)
+            return real_build(in_, n, idx)
 
         def counting_walk(names, classes, in_):
             walks.append(tuple(names))
@@ -618,7 +619,7 @@ class TestSinglePipeline:
             walks.clear()
             scans.clear()
             with monkeypatch.context() as mp:
-                mp.setattr(FitchMap, "_arc_masks", counting_build)
+                mp.setattr(fitchmap.generalized, "_gather", counting_build)
                 counting_column_scans(mp, scans)
                 mp.setattr(fitchmap.generalized, "_cluster_tree", counting_walk)
                 for name in ("check_conditions", "least_resolved_simple"):

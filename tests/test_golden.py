@@ -1,7 +1,8 @@
 """Digests over seeded corpora, to pin outputs through refactors: one of
 recognize()'s reports, to pin every verdict, witness and tree of the
-recognition pipeline, and one of LabeledTree's canonical form, to pin the
-arrays every tree stores and the text and keys derived from them.
+recognition pipeline, one of LabeledTree's canonical form, to pin the
+arrays every tree stores and the text and keys derived from them, and one
+of the oracle's consistent labelings, to pin their order.
 
 A change that moves a digest changed what some report or tree says; find
 the input by comparing one by one against the last commit that matched."""
@@ -14,7 +15,7 @@ from collections import Counter
 from fitchmap.core import NO_EVENT, LabeledTree, make_fitch_map
 from fitchmap.generalized import recognize
 from fitchmap.io import read_tree, write_tree
-from fitchmap.oracle import random_tree_like_instance
+from fitchmap.oracle import enumerate_consistent_labelings, enumerate_topologies, random_tree_like_instance
 
 # sha256 of the corpus's reports, as v1 JSON with sorted keys, each
 # followed by the tree's text ("" for a not-tree-like map)
@@ -23,6 +24,10 @@ GOLDEN = "a838334361a4398d325d4d75840313c95c661165b2ceda4a8a9413d7bd972664"
 # sha256 of the canonical-form corpus: per tree, the repr of each stored
 # array, its text and the repr of its topology key
 CANONICAL = "2929620191300a413a8f66457522df8245f00fad41c879faafdb5515bf627458"
+# sha256 of every consistent labeling's text, in enumeration order, of
+# every topology on 2 to 4 leaves over 0 to 3 symbols and on 5 leaves
+# over 0 or 1 symbol
+LABELINGS = "3d22f62abbd9486c3ad62fcb7fe27b3edfaf3035ed5a5b4ddb50014758b8b66d"
 SLOTS = ("_parent", "_children", "_labels", "_names", "_name2v", "_depth", "_span", "_leafv")
 
 
@@ -95,3 +100,16 @@ def test_canonical_form_digest():
         digest.update(tree._text().encode())
         digest.update(repr(tree.topology_key()).encode())
     assert digest.hexdigest() == CANONICAL
+
+
+def test_labeling_order_digest():
+    digest = hashlib.sha256()
+    count = 0
+    for leaves, most in (("ab", 3), ("abc", 3), ("abcd", 3), ("abcde", 1)):
+        for topo in enumerate_topologies(leaves):
+            for k in range(most + 1):
+                for tree in enumerate_consistent_labelings(topo, ("1", "2", "3")[:k]):
+                    digest.update(write_tree(tree).encode())
+                    count += 1
+    assert count == 63934
+    assert digest.hexdigest() == LABELINGS

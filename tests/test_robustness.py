@@ -17,7 +17,7 @@ from fitchmap.core import NO_EVENT, FitchError, FitchMap, LabeledTree
 from fitchmap.evaluate import evaluate, explains
 from fitchmap.generalized import check_conditions, compute_classes, recognize
 from fitchmap.io import read_map, read_tree, write_map, write_tree
-from fitchmap.oracle import random_tree_like_instance, witness_holds
+from fitchmap.oracle import enumerate_consistent_labelings, random_tree_like_instance, witness_holds
 from fitchmap.simple_fitch import Digraph, _decompose, derive_forbidden_table, least_resolved_simple
 from fitchmap.triples import aho_build
 from fitchmap.treeops import triples_of
@@ -67,6 +67,17 @@ class TestDeepChains:
         for i in range(depth - 1, -1, -1):
             spec = ((f"z{i:05d}", NO_EVENT), (spec, "1"))
         assert LabeledTree.build(spec) == caterpillar(depth)
+
+    def test_labelings_survive_past_recursion_limit(self):
+        tree = caterpillar(sys.getrecursionlimit() + 200)
+        labelings = enumerate_consistent_labelings(tree, ("1",))
+        first = next(labelings)
+        assert first.same_topology(tree)
+        assert all(first.label(v) is NO_EVENT for v in range(1, first.n_vertices))
+        # the last vertex varies fastest
+        second = next(labelings)
+        last = tree.n_vertices - 1
+        assert [v for v in range(1, last + 1) if second.label(v) is not NO_EVENT] == [last]
 
     def test_aho_on_deep_caterpillar_triples(self):
         tree = caterpillar(40)

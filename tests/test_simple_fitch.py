@@ -172,6 +172,28 @@ def assert_decisive_and_matches_reference(g: Digraph) -> bool:
     return False
 
 
+class TestInduced:
+    """Digraph.induced, gathered from the in-masks, against a per-entry
+    build: arc a->b of the result exactly when names[a]->names[b] is an arc."""
+
+    @staticmethod
+    def reference(g, names):
+        arcs = g.arcs
+        out = [sum(1 << b for b, y in enumerate(names) if (x, y) in arcs) for x in names]
+        in_ = [sum(1 << a for a, x in enumerate(names) if (x, y) in arcs) for y in names]
+        return out, in_
+
+    @pytest.mark.parametrize("k", [0, 1, 63, 64, 65, 129])
+    def test_matches_per_entry_build(self, k):
+        rng = random.Random(k)
+        g = random_digraph([f"v{i:03d}" for i in range(150)], rng)
+        shuffled = rng.sample(g.vertices, k)
+        for names in (shuffled, sorted(shuffled)):
+            h = g.induced(names)
+            assert h.vertices == tuple(names)
+            assert (h._out, h._in) == self.reference(g, names)
+
+
 class TestForbiddenTable:
     def test_exactly_eight_classes(self):
         assert len(derive_forbidden_table()) == 8
