@@ -645,12 +645,14 @@ class FitchMap:
     NO_EVENT, code i >= 1 is alphabet[i-1], and the diagonal holds -1.  The
     alphabet is always exactly the set of symbols that occur (surjectivity).
     Only this class reads the array; the rest of the package calls _row,
-    _in_masks, _lowest_in_codes and _eq_masks, and gathers every digraph
-    on a subset of the leaves from the in-masks (simple_fitch._gather).
-    The column scans run in C: byte k of every entry of column x, read
-    from row n-1 up to row 0, is one strided slice of the array's bytes,
-    and translating it to "0"/"1" gives a mask with bit y for row y
-    through int(..., 2); only _eq_masks sees the code width.
+    _rows_bytes, _in_masks, _lowest_in_codes and _eq_masks, and gathers
+    every digraph on a subset of the leaves from the in-masks
+    (simple_fitch._gather).  The column scans run in C: byte k of every
+    entry of column x, read from row n-1 up to row 0, is one strided slice
+    of the array's bytes, and translating it to "0"/"1" gives a mask with
+    bit y for row y through int(..., 2); only _eq_masks, and io's byte
+    writer, which calls _rows_bytes for one-byte codes only, see the code
+    width.
     """
 
     __slots__ = ("leaves", "alphabet", "_index", "_start", "_codes", "_labels")
@@ -692,6 +694,11 @@ class FitchMap:
         """Row i's codes, -1 at i, as a new array of the map's typecode."""
         n = self.n
         return self._codes[i * n:i * n + n]
+
+    def _rows_bytes(self, i: int, j: int) -> bytes:
+        """The bytes of rows i to j - 1 of the code array, in order."""
+        n = self.n
+        return memoryview(self._codes)[i * n:j * n].tobytes()
 
     def _eq_masks(self, targets: Sequence[int]) -> list[int]:
         """Per column x, in map order, the mask of the rows y whose entry

@@ -3,10 +3,19 @@
 Relation-matrix format (.fm): header line '#fitchmap v1', a tab-separated
 leaf-name line, then one tab-separated row per leaf; '.' marks the
 diagonal and '-' marks NO_EVENT.  LF line endings, trailing newline
-required.  The reader checks each row with C-level tests (cell count, the
+required.
+
+Maps whose tokens are all one ASCII character, such as every generated
+map with at most 9 symbols, take the byte path, in blocks of about 64K
+cells.  The reader checks the body's length, its tabs and newlines, the
+diagonal and each distinct token by C-level byte operations, and codes
+the cells through one translate table.  The writer translates the
+one-byte codes through a token table and puts the tabs and newlines in
+by slice assignment.  Every other input takes the row path: a token of
+several or non-ASCII characters, a carriage return, and every malformed
+body.  Its reader checks each row with C-level tests (cell count, the
 diagonal, each distinct token once) and walks a row cell by cell only to
-name the position of its error; it codes rows straight into the map's
-code array.
+name the position of its error, so it alone raises the errors of a body.
 
 Labeled-Newick format (.lnw): node := leafName | "(" node ":" label
 ("," node ":" label)+ ")", terminated by ";"; each edge label follows its
@@ -34,6 +43,8 @@ from .core import (
 )
 
 _MAP_HEADER = "#fitchmap v1"
+# cells per block of the byte paths: a block stays in cache
+_BLOCK_CELLS = 1 << 16
 
 
 class ParseError(FitchError):
@@ -59,12 +70,13 @@ def read_map(text: str) -> FitchMap:
         last = max(1, text.count("\n") + 1)
         raise ParseError(last, max(1, len(text.rsplit("\n", 1)[-1]) + 1),
                          "missing trailing newline")
-    lines = text.split("\n")[:-1]
-    if not lines or lines[0] != _MAP_HEADER:
+    start = text.find("\n")
+    if text[:start] != _MAP_HEADER:
         raise ParseError(1, 1, f"expected header {_MAP_HEADER!r}")
-    if len(lines) < 2:
+    end = text.find("\n", start + 1)
+    if end < 0:
         raise ParseError(2, 1, "missing leaf-name line")
-    names = lines[1].split("\t")
+    names = text[start + 1:end].split("\t")
     seen = set()
     col = 1
     for nm in names:
@@ -83,17 +95,64 @@ def read_map(text: str) -> FitchMap:
     n = len(names)
     if n < 2:
         raise ShapeError(2, 1, f"need at least 2 leaves, found {n}")
-    if len(lines) != n + 2:
+    fmap = _read_cells(text, end + 1, names)
+    return fmap if fmap is not None else _read_rows(text, names)
+
+
+def _read_cells(text: str, start: int, names: list[str]) -> Optional[FitchMap]:
+    """The byte path: the map whose body, from text[start:], is n rows of
+    n one-character ASCII cells, checked by C-level string and byte
+    operations on blocks of about _BLOCK_CELLS cells; None for any other
+    body, well formed or not, which the row path then reads."""
+    n = len(names)
+    if len(text) - start != 2 * n * n:
+        return None
+    rows = max(1, _BLOCK_CELLS // n)
+    seps = ("\t" * (n - 1) + "\n") * rows
+    known = b"-"  # the tokens that passed check_token, and '-'
+    blocks = []
+    for r in range(0, n, rows):
+        k = min(rows, n - r)
+        a, b = start + 2 * n * r, start + 2 * n * (r + k)
+        block = text[a:b:2]
+        if text[a + 1:b:2] != seps[:k * n] or not block.isascii():
+            return None
+        block = block.encode()
+        new = block.translate(None, known)  # the dots, and tokens not yet known
+        if block[r::n + 1] != b"." * k or new.count(b".") != k:
+            return None
+        new = new.replace(b".", b"")
+        while new:
+            try:
+                check_token(chr(new[0]), "token")
+            except InvalidToken:
+                return None
+            known += new[:1]
+            new = new.translate(None, new[:1])
+        blocks.append(block)
+    alphabet = bytes(sorted(known[1:]))
+    table = bytes.maketrans(b"-" + alphabet + b".", bytes(range(len(known))) + b"\xff")
+    codes = _code_array(len(alphabet))  # one byte a code, as in write_map
+    for block in blocks:
+        codes.frombytes(block.translate(table))
+    return FitchMap(names, tuple(alphabet.decode()), codes)
+
+
+def _read_rows(text: str, names: list[str]) -> FitchMap:
+    """The row path: reads every body and names the first error of a
+    malformed one by its line and column."""
+    n = len(names)
+    lines = text.split("\n")[2:-1]
+    if len(lines) != n:
         raise ShapeError(
-            min(len(lines), n + 2) + 1, 1,
-            f"expected {n} matrix rows, found {len(lines) - 2}",
+            min(len(lines), n) + 3, 1, f"expected {n} matrix rows, found {len(lines)}",
         )
 
     # pass one: the shape, the diagonal and each distinct token, checked
     # once, by C-level tests of each row; a row that fails them is walked
     # cell by cell to name the line, column and reason
     known = {"-", "."}  # tokens that passed check_token, plus the two reserved ones
-    for i, line in enumerate(lines[2:]):
+    for i, line in enumerate(lines):
         cells = line.split("\t")
         if not _row_passes(cells, i, n, known):
             _row_error(i + 3, cells, i, n, known)
@@ -103,7 +162,7 @@ def read_map(text: str) -> FitchMap:
     codes = _code_array(len(alphabet))
     item = {s: _item(codes, c) for c, s in enumerate(("-", *alphabet))}
     item["."] = _item(codes, -1)
-    for line in lines[2:]:
+    for line in lines:
         codes.frombytes(b"".join(map(item.__getitem__, line.split("\t"))))
     return FitchMap(names, alphabet, codes)
 
@@ -145,9 +204,36 @@ def _row_error(lineno: int, cells: list[str], i: int, n: int, known: set) -> Non
 
 
 def write_map(fmap: FitchMap) -> str:
+    head = f"{_MAP_HEADER}\n" + "\t".join(fmap.leaves) + "\n"
+    tokens = "-" + "".join(fmap.alphabet)  # code c is tokens[c]
+    # one ASCII character a token leaves at most 110 symbols: one byte a code
+    if len(tokens) == len(fmap.alphabet) + 1 and tokens.isascii():
+        blocks = _write_cells(fmap, tokens.encode().ljust(256, b"."))
+    else:
+        blocks = _write_rows(fmap)
+    return "".join([head, *blocks])
+
+
+def _write_cells(fmap: FitchMap, table: bytes) -> list[str]:
+    """The byte path: the rows of a map whose tokens are one ASCII
+    character each, in blocks of about _BLOCK_CELLS cells; `table` takes
+    each code's byte to its token, and the diagonal's -1 (byte 255) to '.'."""
+    n = fmap.n
+    rows = max(1, _BLOCK_CELLS // n)
+    seps = (b".\t" * (n - 1) + b".\n") * rows  # the cells are written over the dots
+    blocks = []
+    for r in range(0, n, rows):
+        k = min(rows, n - r)
+        block = bytearray(seps[:2 * k * n])
+        block[::2] = fmap._rows_bytes(r, r + k).translate(table)
+        blocks.append(block.decode())
+    return blocks
+
+
+def _write_rows(fmap: FitchMap) -> list[str]:
+    """The row path: the rows of any map, token by token."""
     tokens = ("-", *fmap.alphabet, ".")  # code c is tokens[c]; the diagonal's -1 is '.'
-    rows = ("\t".join([tokens[c] for c in fmap._row(i)]) for i in range(fmap.n))
-    return "\n".join([_MAP_HEADER, "\t".join(fmap.leaves), *rows]) + "\n"
+    return ["\t".join([tokens[c] for c in fmap._row(i)]) + "\n" for i in range(fmap.n)]
 
 
 # ---------------------------------------------------------------------------

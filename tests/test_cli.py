@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -246,3 +250,29 @@ class TestGlobalFlags:
     def test_bad_flags_exit_two(self, capsys):
         assert run(capsys, "recognize")[0] == 2
         assert run(capsys, "no-such-command")[0] == 2
+
+
+class TestModuleEntry:
+    def test_python_dash_m_runs_each_command(self, tmp_path, capsys):
+        """`python -m fitchmap` and `python -m fitchmap.cli` run the command
+        line in a fresh interpreter, with the bytes and exit codes of main()."""
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+
+        def module(*argv):
+            done = subprocess.run([sys.executable, "-m", *argv], cwd=tmp_path, env=env,
+                                  capture_output=True, timeout=120)
+            return done.returncode, done.stdout
+
+        assert module("fitchmap", "--quiet", "gen-random", "--seed", "5", "--leaves", "9",
+                      "--symbols", "3", "--o-prefix", "inst") == (0, b"")
+        assert run(capsys, "--quiet", "gen-random", "--seed", "5", "--leaves", "9",
+                   "--symbols", "3", "--o-prefix", str(tmp_path / "ref"))[0] == 0
+        for ext in ("fm", "lnw"):
+            assert (tmp_path / f"inst.{ext}").read_bytes() == (tmp_path / f"ref.{ext}").read_bytes()
+        code, tree = module("fitchmap", "recognize", "inst.fm")
+        assert code == 0
+        assert tree.decode() == run(capsys, "recognize", str(tmp_path / "inst.fm"))[1]
+        assert module("fitchmap.cli", "recognize", "inst.fm", "-o", "out.lnw") == (0, b"")
+        assert (tmp_path / "out.lnw").read_bytes() == tree
+        assert module("fitchmap", "evaluate", "out.lnw") == (0, (tmp_path / "inst.fm").read_bytes())
+        assert module("fitchmap", "recognize", "no-such.fm")[0] == 2

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import code_rows
+from fitchmap import io as fio
 from fitchmap.core import (
     NO_EVENT,
     DuplicateLeafName,
@@ -248,3 +249,142 @@ class TestReaderAgainstReference:
         m = read_map("#fitchmap v1\na\tb\tc\n.\tz\t10\n9\t.\tz\n-\t10\t.\n")
         assert m.alphabet == ("10", "9", "z")
         assert code_rows(m) == [[-1, 3, 1], [2, -1, 3], [0, 1, -1]]
+
+
+# one-character tokens of both paths' maps, control characters among them
+ONE_CHAR_SYMBOLS = "1234abcXYZ~!@#$%^&*\x01\x02\x7f"
+MUTATIONS = (
+    None, "two-char", "cr", "space", "paren", "non-ascii", "dot", "drop-tab",
+    "extra-row", "no-newline", "tab-swap", "tab-token",
+)
+
+
+def one_char_text(rng, n, k, row, col, mutation):
+    """The .fm text of a random map on n leaves with up to k one-character
+    symbols, with one mutation, if any, in the given row; a mutated cell
+    is the one at col, off the diagonal."""
+    names = [f"v{i}" for i in range(n)]
+    if rng.random() < 0.2:
+        names[0] = "é"  # a non-ASCII leaf name leaves the body ASCII
+    tokens = ["-", *rng.sample(ONE_CHAR_SYMBOLS, k)]
+    rows = [rng.choices(tokens, k=n) for _ in range(n)]
+    for i, cells in enumerate(rows):
+        cells[i] = "."
+    cells = rows[row]
+    if mutation in ("two-char", "space", "paren", "non-ascii", "dot"):
+        cells[col] = {"two-char": "ab", "space": " ", "paren": "(", "non-ascii": "é", "dot": "."}[mutation]
+    lines = ["#fitchmap v1", "\t".join(names), *map("\t".join, rows)]
+    if mutation == "cr":
+        lines[row + 2] += "\r"
+    elif mutation == "drop-tab":
+        lines[row + 2] = lines[row + 2].replace("\t", "", 1)
+    elif mutation == "tab-swap":
+        # the last cell and the tab before it trade places; the length stays 2n^2
+        line = lines[row + 2]
+        lines[row + 2] = line[:-2] + line[-1] + line[-2]
+    elif mutation == "tab-token":
+        # a symbol in place of a tab; the length stays 2n^2 and every
+        # other byte is still a one-character token
+        lines[row + 2] = lines[row + 2].replace("\t", "1", 1)
+    elif mutation == "extra-row":
+        lines.insert(row + 3, lines[row + 2])
+    text = "".join(line + "\n" for line in lines)
+    return text[:-1] if mutation == "no-newline" else text
+
+
+def row_path_outcome(monkeypatch, text):
+    """What the row path alone makes of the text: the byte path declines."""
+    with monkeypatch.context() as m:
+        m.setattr(fio, "_read_cells", lambda *args: None)
+        return outcome(read_map, text)
+
+
+class TestBytePathAgainstRowPath:
+    def check(self, monkeypatch, text):
+        got = outcome(read_map, text)
+        assert got == row_path_outcome(monkeypatch, text), text
+        if not isinstance(got[0], type):
+            m = read_map(text)
+            assert write_map(m) == text
+            head = "#fitchmap v1\n" + "\t".join(m.leaves) + "\n"
+            assert "".join([head, *fio._write_rows(m)]) == text
+        return got
+
+    def test_small_maps(self, monkeypatch):
+        rng = random.Random(1729)
+        failed = 0
+        for n in range(2, 71):
+            for t in range(4):
+                mutation = MUTATIONS[(n + t) % len(MUTATIONS)]
+                row = rng.randrange(n)
+                col = (row + 1 + rng.randrange(n - 1)) % n
+                text = one_char_text(rng, n, rng.randrange(10), row, col, mutation)
+                failed += isinstance(self.check(monkeypatch, text)[0], type)
+        # 3 of the 12 mutations leave a valid map
+        assert 160 < failed < 230
+
+    @pytest.mark.parametrize("n", [300, 1000])
+    def test_maps_of_several_blocks(self, monkeypatch, n):
+        """Each mutation lands at the end of the last row of a block, or at
+        the start of the first row of the next one; n is no multiple of the
+        rows of a block."""
+        rows = fio._BLOCK_CELLS // n
+        assert 0 < n % rows
+        rng = random.Random(n)
+        for i, mutation in enumerate(MUTATIONS):
+            for last in (True, False):
+                row = rows * (1 + i % (n // rows)) - last
+                text = one_char_text(rng, n, 9, row, n - 1 if last else 0, mutation)
+                self.check(monkeypatch, text)
+
+
+def raise_if_called(*args):
+    raise AssertionError("this path must not run")
+
+
+class TestPathTaken:
+    def test_one_char_map_takes_the_byte_path(self, monkeypatch):
+        text = one_char_text(random.Random(3), 300, 9, 0, 1, None)
+        for helper in ("_read_rows", "_row_passes", "_row_error", "_write_rows"):
+            monkeypatch.setattr(fio, helper, raise_if_called)
+        m = read_map(text)
+        assert m.n == 300 and len(m.alphabet) == 9
+        assert write_map(m) == text
+
+    def test_comb_with_two_byte_codes_takes_the_row_path(self, monkeypatch):
+        """A comb of 129 leaves on 128 one-character symbols: no 128 such
+        symbols are all ASCII, so two-byte codes never meet the byte path."""
+        symbols = [chr(c) for c in range(0x100, 0x180)]
+        node = (("t127", symbols[127]), ("t128", NO_EVENT))
+        for i in range(126, -1, -1):
+            node = ((f"t{i:03d}", symbols[i]), (node, NO_EVENT))
+        fmap = evaluate(LabeledTree.build(node))
+        assert fmap._codes.itemsize == 2
+        self.check_row_path(monkeypatch, fmap)
+
+    def test_two_char_symbol_takes_the_row_path(self, monkeypatch):
+        fmap = make_fitch_map(["a", "b", "c"], {
+            ("a", "b"): "xy", ("a", "c"): "1", ("b", "a"): NO_EVENT,
+            ("b", "c"): "1", ("c", "a"): "xy", ("c", "b"): NO_EVENT,
+        })
+        self.check_row_path(monkeypatch, fmap)
+
+    @staticmethod
+    def check_row_path(monkeypatch, fmap):
+        """Written with the byte writer raising, the map gives the bytes of
+        a token-by-token writer; they read back, through the row reader,
+        as the same map."""
+        tokens = ("-", *fmap.alphabet)
+        rows = ("\t".join("." if c < 0 else tokens[c] for c in row) for row in code_rows(fmap))
+        text = "".join(line + "\n" for line in ["#fitchmap v1", "\t".join(fmap.leaves), *rows])
+        read_rows, calls = fio._read_rows, []
+
+        def counted_read_rows(*args):
+            calls.append(args)
+            return read_rows(*args)
+
+        monkeypatch.setattr(fio, "_write_cells", raise_if_called)
+        monkeypatch.setattr(fio, "_read_rows", counted_read_rows)
+        assert write_map(fmap) == text
+        assert read_map(text) == fmap
+        assert len(calls) == 1
