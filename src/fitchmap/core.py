@@ -647,12 +647,15 @@ class FitchMap:
     Only this class reads the array; the rest of the package calls _row,
     _rows_bytes, _in_masks, _lowest_in_codes and _eq_masks, and gathers
     every digraph on a subset of the leaves from the in-masks
-    (simple_fitch._gather).  The column scans run in C: byte k of every
-    entry of column x, read from row n-1 up to row 0, is one strided slice
-    of the array's bytes, and translating it to "0"/"1" gives a mask with
-    bit y for row y through int(..., 2); only _eq_masks, and io's byte
-    writer, which calls _rows_bytes for one-byte codes only, see the code
-    width.
+    (simple_fitch._gather).  The column scans run in C: one strided slice
+    gathers a d-byte piece of every row, read from row n-1 up to row 0,
+    where d is the largest of 8, 4, 2 and 1 that divides a row's bytes;
+    byte k of every entry of a column in those pieces is one sequential
+    stride-d slice, and translating it to "0"/"1" gives a mask with bit y
+    for row y through int(..., 2).  The gather is wide because a stride of
+    a power of two maps a column onto a few cache sets.  Only _eq_masks,
+    and io's byte writer, which calls _rows_bytes for one-byte codes only,
+    see the code width.
     """
 
     __slots__ = ("leaves", "alphabet", "_index", "_start", "_codes", "_labels")
@@ -703,18 +706,37 @@ class FitchMap:
     def _eq_masks(self, targets: Sequence[int]) -> list[int]:
         """Per column x, in map order, the mask of the rows y whose entry
         (y, x) is targets[x]: the AND over the entry's bytes of one
-        translated strided slice each."""
-        n, size = self.n, self._codes.itemsize
-        raw = self._codes.tobytes()
-        step = -n * size
-        last = len(raw) + step  # the first byte of row n-1
+        translated byte plane each.
+
+        The array's bytes are read as d-byte pieces, d the largest of 8, 4,
+        2 and 1 that divides a row's bytes, so that d / itemsize columns
+        share one strided gather of n pieces, rows n-1 down to 0.  A byte
+        slice per column would stride by a row, and at a power-of-two n
+        every entry of a column falls into the same few cache sets.  Byte
+        plane b of column k in a gathered chunk is the sequential slice
+        chunk[k * itemsize + b::d]."""
+        codes = self._codes
+        n, size = self.n, codes.itemsize
+        row = n * size
+        d = min(8, row & -row)
+        per, step = d // size, row // d  # columns per piece, pieces per row
+        last = (n - 1) * step  # the first piece of row n-1
+        planes: dict[int, list] = {}  # target -> its (byte plane, table) pairs
         masks = []
-        for x, target in enumerate(targets):
-            start = last + x * size
-            mask = -1
-            for k, byte in enumerate(_item(self._codes, target)):
-                mask &= int(raw[start + k::step].translate(_equal_to(byte)), 2)
-            masks.append(mask)
+        with memoryview(codes).cast("B").cast("BHIQ"[d.bit_length() - 1]) as pieces:
+            for x, target in enumerate(targets):
+                group, k = divmod(x, per)
+                if not k:
+                    chunk = pieces[last + group::-step].tobytes()
+                pairs = planes.get(target)
+                if pairs is None:
+                    pairs = planes[target] = [
+                        (b, _equal_to(byte)) for b, byte in enumerate(_item(codes, target))
+                    ]
+                mask = -1
+                for b, table in pairs:
+                    mask &= int(chunk[k * size + b::d].translate(table), 2)
+                masks.append(mask)
         return masks
 
     def _in_masks(self) -> list[int]:

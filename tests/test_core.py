@@ -310,6 +310,25 @@ class TestCodeMatrixAccessors:
         assert len(symbols) < fmap.n
         assert compute_classes(fmap).leaf == fmap.leaves[len(symbols)]
 
+    @pytest.mark.parametrize("n, n_symbols, width", [
+        *[(n, min(3, n * n - n), w) for n, w in zip(range(2, 10), (2, 1, 4, 1, 2, 1, 8, 1))],
+        (64, 8, 8), (66, 8, 2), (67, 8, 1), (68, 8, 4), (72, 8, 8),
+        # two-byte codes
+        (140, 278, 8), (138, 274, 4), (137, 272, 2),
+    ])
+    def test_column_scans_at_every_piece_width(self, n, n_symbols, width):
+        # the scans gather `width` bytes of a row at a time: the largest of
+        # 8, 4, 2 and 1 that divides the row's bytes
+        fmap = random_code_map(random.Random(n), n, n_symbols)
+        row_bytes = n * fmap._row(0).itemsize
+        assert width == max(w for w in (1, 2, 4, 8) if row_bytes % w == 0)
+        rows = code_rows(fmap)
+        rng = random.Random(-n)
+        targets = [rng.choice(col) for col in zip(*rows)]
+        ins, eqs, _, _ = column_reference(rows, targets)
+        assert fmap._in_masks() == ins
+        assert fmap._eq_masks(targets) == eqs
+
     def test_only_core_reads_the_code_matrix(self):
         # the storage of the code matrix is FitchMap's alone
         package = Path(fitchmap.core.__file__).parent

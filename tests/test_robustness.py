@@ -2,8 +2,8 @@
 criteria: deep chains past the interpreter recursion limit, parser
 behavior on corrupted inputs, the cost of .fm reading and writing, the
 memory of .fm reading and of .lnw writing, the cost of a negative
-verdict, the cost of building a deep class's tree and the cost of
-certifying a deep tree."""
+verdict, the cost of building a deep class's tree, the cost of a column
+scan at a power-of-two n and the cost of certifying a deep tree."""
 
 import gc
 import random
@@ -431,6 +431,22 @@ class TestDeepClassCost:
                 assert tree.n_leaves == k
                 assert max(map(tree.depth, range(tree.n_vertices))) == k - 1
         assert best[4096] / best[2048] <= 5.0
+
+
+class TestPowerOfTwoColumnScan:
+    def test_power_of_two_n_costs_what_its_neighbour_costs(self):
+        """A row of 2048 bytes puts every entry of a column into the same
+        few cache sets: _in_masks() on a tree-like n=2048 map costs at most
+        1.4x per entry what it costs at n=2000 (best of 5, interleaved)."""
+        maps = {n: random_tree_like_instance(7, n, 8)[1] for n in (2000, 2048)}
+        best = dict.fromkeys(maps, float("inf"))
+        for _ in range(5):
+            for n, fmap in maps.items():
+                t0 = time.perf_counter()
+                fmap._in_masks()
+                best[n] = min(best[n], time.perf_counter() - t0)
+        per_entry = {n: t / (n * n) for n, t in best.items()}
+        assert per_entry[2048] / per_entry[2000] <= 1.4
 
 
 class TestDepthIndependentCertificate:
