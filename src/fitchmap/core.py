@@ -658,7 +658,7 @@ class FitchMap:
     see the code width.
     """
 
-    __slots__ = ("leaves", "alphabet", "_index", "_start", "_codes", "_labels")
+    __slots__ = ("leaves", "alphabet", "_index", "_codes", "_labels")
 
     def __init__(self, leaves: Sequence[str], alphabet: Sequence[str], rows):
         """rows: the code matrix as row sequences, which are validated with
@@ -669,8 +669,6 @@ class FitchMap:
         object.__setattr__(self, "alphabet", tuple(alphabet))
         n = len(self.leaves)
         object.__setattr__(self, "_index", {nm: i for i, nm in enumerate(self.leaves)})
-        # where each leaf's row starts in the flat array
-        object.__setattr__(self, "_start", {nm: i * n for i, nm in enumerate(self.leaves)})
         if isinstance(rows, array):
             codes = rows
         else:
@@ -753,7 +751,7 @@ class FitchMap:
 
     def label(self, x: str, y: str) -> Label:
         try:
-            at = self._start[x] + self._index[y]
+            at = self._index[x] * self.n + self._index[y]
         except KeyError as e:
             raise UnknownLeaf(f"no leaf named {e.args[0]!r}") from None
         if x == y:

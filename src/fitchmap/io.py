@@ -21,10 +21,14 @@ Labeled-Newick format (.lnw): node := leafName | "(" node ":" label
 ("," node ":" label)+ ")", terminated by ";"; each edge label follows its
 child after a colon, '-' again meaning NO_EVENT.  The writer emits
 children in canonical order, so write(read(write(x))) is byte-identical.
+The reader splits the text once at the delimiters '():,;', ends each
+token at its first whitespace and walks the tokens with an explicit
+stack; it counts an error's line and column only when it raises one.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Optional
 
 from .core import (
@@ -240,109 +244,80 @@ def _write_rows(fmap: FitchMap) -> list[str]:
 # labeled-Newick format
 # ---------------------------------------------------------------------------
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+# the tokenizer: one split, and each token ends at its first whitespace
+_DELIMITERS = re.compile(r"([():,;])")
+_SPACE = re.compile(r"\s")  # exactly str.isspace(), which tests/test_io.py checks
 
-    def location(self, pos: Optional[int] = None) -> tuple[int, int]:
-        p = self.pos if pos is None else pos
-        line = self.text.count("\n", 0, p) + 1
-        col = p - (self.text.rfind("\n", 0, p) + 1) + 1
-        return line, col
 
-    def error(self, reason: str, pos: Optional[int] = None) -> ParseError:
-        line, col = self.location(pos)
-        return ParseError(line, col, reason)
+def _error(parts: list, k: int, at: int, expected: str, reason: str = "") -> ParseError:
+    """The error at offset `at` into parts[k], located only when raised; the
+    reason defaults to "expected <expected>, found <the character there>"."""
+    found = parts[k][at:at + 1] or parts[k + 1] or "end of input"
+    head = "".join(parts[:k]) + parts[k][:at]
+    return ParseError(head.count("\n") + 1, len(head) - head.rfind("\n"),
+                      reason or f"expected {expected}, found {found!r}")
 
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def take(self, ch: str) -> None:
-        if self.peek() != ch:
-            found = self.peek() or "end of input"
-            raise self.error(f"expected {ch!r}, found {found!r}")
-        self.pos += 1
-
-    def token(self, what: str) -> str:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] not in "():,;" \
-                and not self.text[self.pos].isspace():
-            self.pos += 1
-        tok = self.text[start:self.pos]
-        if not tok:
-            found = self.peek() or "end of input"
-            raise self.error(f"expected {what}, found {found!r}")
-        return tok
+def _token(parts: list, k: int, what: str, follow: tuple, label: bool = False) -> Label:
+    """parts[k] up to its first whitespace: a token that passes check_token
+    unless it is a label's '-' (NO_EVENT), followed by a delimiter in `follow`."""
+    space = _SPACE.search(parts[k])
+    tok = parts[k][:space.start()] if space else parts[k]
+    if not tok:
+        raise _error(parts, k, 0, what)
+    dash = label and tok == "-"
+    if not dash:
+        try:
+            check_token(tok, "token")
+        except InvalidToken as e:
+            raise _error(parts, k, 0, "", str(e)) from None
+    if space or parts[k + 1] not in follow:
+        raise _error(parts, k, len(tok), " or ".join(map(repr, follow)))
+    return NO_EVENT if dash else tok
 
 
 def read_tree(text: str) -> LabeledTree:
-    sc = _Scanner(text)
+    # parts[k] for even k is the (maybe empty) token before the delimiter
+    # parts[k + 1]; the appended None stands for the end of input
+    parts = _DELIMITERS.split(text)
+    parts.append(None)
     parents: list[Optional[int]] = [None]
     labels: list[Optional[Label]] = [None]
     names: dict[int, str] = {}
-
-    def checked_token(what: str) -> str:
-        start = sc.pos
-        tok = sc.token(what)
-        try:
-            check_token(tok, "token")
-        except InvalidToken as e:
-            raise sc.error(str(e), start) from None
-        return tok
-
-    def parse_label() -> Label:
-        start = sc.pos
-        tok = sc.token("an edge label")
-        if tok == "-":
-            return NO_EVENT
-        try:
-            check_token(tok, "token")
-        except InvalidToken as e:
-            raise sc.error(str(e), start) from None
-        return tok
-
-    # iterative descent: the stack holds the open '(' groups, so nesting
-    # depth never touches the interpreter recursion limit
-    if sc.peek() != "(":
+    k = 2  # the token after the first delimiter
+    if parts[0] or parts[1] != "(":
         # a bare leaf parses but cannot form a phylogenetic tree
-        names[0] = checked_token("a leaf name or '('")
+        names[0] = _token(parts, 0, "a leaf name or '('", (";",))
     else:
-        sc.take("(")
+        # iterative descent: the stack holds the open '(' groups, so nesting
+        # depth never touches the interpreter recursion limit
         stack = [0]
         while stack:
             # one child node of the innermost open group
-            if sc.peek() == "(":
-                sc.take("(")
-                parents.append(stack[-1])
+            parents.append(stack[-1])
+            if not parts[k] and parts[k + 1] == "(":
                 labels.append(NO_EVENT)  # until the group closes
                 stack.append(len(parents) - 1)
+                k += 2
                 continue
-            names[len(parents)] = checked_token("a leaf name")
-            parents.append(stack[-1])
-            sc.take(":")
-            labels.append(parse_label())
-            # the child is complete: a ',' starts a sibling, each ')'
-            # closes a group which then receives its own label
-            closing = True
-            while closing:
-                if sc.peek() == ",":
-                    sc.take(",")
-                    closing = False
-                elif sc.peek() == ")":
-                    sc.take(")")
-                    closed = stack.pop()
-                    if not stack:
-                        closing = False
-                    else:
-                        sc.take(":")
-                        labels[closed] = parse_label()
-                else:
-                    found = sc.peek() or "end of input"
-                    raise sc.error(f"expected ',' or ')', found {found!r}")
-    sc.take(";")
-    if sc.text[sc.pos:].strip():
-        raise sc.error("trailing content after ';'")
+            names[len(parents) - 1] = _token(parts, k, "a leaf name", (":",))
+            labels.append(_token(parts, k + 2, "an edge label", (",", ")"), label=True))
+            k += 4
+            # the child is complete: the ',' after its label starts a
+            # sibling, each ')' closes a group which then receives its label
+            while parts[k - 1] == ")":
+                closed = stack.pop()
+                if not stack:
+                    break
+                if parts[k] or parts[k + 1] != ":":
+                    raise _error(parts, k, 0, "':'")
+                labels[closed] = _token(parts, k + 2, "an edge label", (",", ")"), label=True)
+                k += 4
+        if parts[k] or parts[k + 1] != ";":
+            raise _error(parts, k, 0, "';'")
+        k += 2
+    if "".join(parts[k:-1]).strip():
+        raise _error(parts, k, 0, "", "trailing content after ';'")
     return LabeledTree(parents, labels, names)
 
 

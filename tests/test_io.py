@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -249,6 +250,184 @@ class TestReaderAgainstReference:
         m = read_map("#fitchmap v1\na\tb\tc\n.\tz\t10\n9\t.\tz\n-\t10\t.\n")
         assert m.alphabet == ("10", "9", "z")
         assert code_rows(m) == [[-1, 3, 1], [2, -1, 3], [0, 1, -1]]
+
+
+class ReferenceScanner:
+    """The earlier .lnw tokenizer, which walks the text one character at a time."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def location(self, pos=None):
+        p = self.pos if pos is None else pos
+        line = self.text.count("\n", 0, p) + 1
+        col = p - (self.text.rfind("\n", 0, p) + 1) + 1
+        return line, col
+
+    def error(self, reason, pos=None):
+        line, col = self.location(pos)
+        return ParseError(line, col, reason)
+
+    def peek(self):
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def take(self, ch):
+        if self.peek() != ch:
+            found = self.peek() or "end of input"
+            raise self.error(f"expected {ch!r}, found {found!r}")
+        self.pos += 1
+
+    def token(self, what):
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos] not in "():,;" \
+                and not self.text[self.pos].isspace():
+            self.pos += 1
+        tok = self.text[start:self.pos]
+        if not tok:
+            found = self.peek() or "end of input"
+            raise self.error(f"expected {what}, found {found!r}")
+        return tok
+
+
+def reference_read_tree(text: str):
+    """The earlier .lnw reader, kept as the reference for the differential
+    test: an iterative descent over ReferenceScanner."""
+    sc = ReferenceScanner(text)
+    parents = [None]
+    labels = [None]
+    names = {}
+
+    def checked_token(what):
+        start = sc.pos
+        tok = sc.token(what)
+        try:
+            check_token(tok, "token")
+        except InvalidToken as e:
+            raise sc.error(str(e), start) from None
+        return tok
+
+    def parse_label():
+        start = sc.pos
+        tok = sc.token("an edge label")
+        if tok == "-":
+            return NO_EVENT
+        try:
+            check_token(tok, "token")
+        except InvalidToken as e:
+            raise sc.error(str(e), start) from None
+        return tok
+
+    if sc.peek() != "(":
+        names[0] = checked_token("a leaf name or '('")
+    else:
+        sc.take("(")
+        stack = [0]
+        while stack:
+            if sc.peek() == "(":
+                sc.take("(")
+                parents.append(stack[-1])
+                labels.append(NO_EVENT)
+                stack.append(len(parents) - 1)
+                continue
+            names[len(parents)] = checked_token("a leaf name")
+            parents.append(stack[-1])
+            sc.take(":")
+            labels.append(parse_label())
+            closing = True
+            while closing:
+                if sc.peek() == ",":
+                    sc.take(",")
+                    closing = False
+                elif sc.peek() == ")":
+                    sc.take(")")
+                    closed = stack.pop()
+                    if not stack:
+                        closing = False
+                    else:
+                        sc.take(":")
+                        labels[closed] = parse_label()
+                else:
+                    found = sc.peek() or "end of input"
+                    raise sc.error(f"expected ',' or ')', found {found!r}")
+    sc.take(";")
+    if sc.text[sc.pos:].strip():
+        raise sc.error("trailing content after ';'")
+    return LabeledTree(parents, labels, names)
+
+
+def tree_outcome(read, text):
+    """What a reader makes of the text: the tree's parent, label and name
+    arrays, or the class and message of the error it raises."""
+    try:
+        t = read(text)
+    except FitchError as e:
+        return type(e), str(e)
+    return t._parent, t._labels, t._names
+
+
+# the delimiters, '-', '.', '|', letters, whitespace of several kinds
+# (ASCII, a C0 separator, NEL, no-break space) and a non-ASCII letter
+TREE_GLYPHS = "():,;-.|ab1 \t\n\r\x1c\x85\xa0\xe9"
+
+
+def mutated_tree_text(rng):
+    """A written tree with up to three glyphs inserted, deleted or
+    replaced, and sometimes cut short."""
+    tree, _ = random_tree_like_instance(rng.randrange(1 << 30), rng.randrange(2, 8), rng.randrange(4))
+    text = list(write_tree(tree))
+    for _ in range(rng.randrange(4)):
+        pos = rng.randrange(len(text) + 1)
+        kind = rng.randrange(3)
+        if kind == 0:
+            text.insert(pos, rng.choice(TREE_GLYPHS))
+        elif pos < len(text):
+            text[pos:pos + 1] = [] if kind == 1 else [rng.choice(TREE_GLYPHS)]
+    if rng.random() < 0.1:
+        del text[rng.randrange(len(text) + 1):]
+    return "".join(text)
+
+
+class TestTreeReaderAgainstReference:
+    def test_fuzzed_trees_match_reference(self):
+        rng = random.Random(1618)
+        malformed = 0
+        for _ in range(10_000):
+            text = mutated_tree_text(rng)
+            expected = tree_outcome(reference_read_tree, text)
+            assert tree_outcome(read_tree, text) == expected, repr(text)
+            malformed += isinstance(expected[0], type)
+        # both sides of the reader are exercised
+        assert 2_000 < malformed < 9_000
+
+    @pytest.mark.parametrize("text,line,col", [
+        ("(a:- ,b:1);\n", 1, 5),  # a '-' label cut short by whitespace
+        ("(a:-,b:1", 1, 9),  # a label at the end of input
+        ("(a:-,b:-", 1, 9),
+        ("(a:-,b:", 1, 8),
+        ("( a:-,b:1);\n", 1, 2),  # whitespace right after '('
+        ("(a:-, b:1);\n", 1, 6),  # whitespace right after ','
+        ("(a|b:-,c:1);\n", 1, 2),  # '|' inside a token
+        # a text of two lines: its error is the newline itself, since
+        # whitespace before the final ';' is never legal, so no error of
+        # the reader lies past line 1
+        ("(a:-,\nb:1 );\n", 1, 6),
+        ("((a:-,b:1):\x85,c:2);\n", 1, 12),
+        ("(a:-,b:1);\n\xa0x", 1, 11),
+    ])
+    def test_fixed_cases_match_reference(self, text, line, col):
+        expected = tree_outcome(reference_read_tree, text)
+        assert tree_outcome(read_tree, text) == expected
+        with pytest.raises(ParseError) as got:
+            read_tree(text)
+        assert (got.value.line, got.value.col) == (line, col)
+
+    def test_whitespace_pattern_is_str_isspace(self):
+        """The reader ends a token at the first match of fio._SPACE, and
+        the reference at the first character where str.isspace() holds: the
+        two agree on every code point, or error columns would shift."""
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert fio._SPACE.findall(every) == list(filter(str.isspace, every))
 
 
 # one-character tokens of both paths' maps, control characters among them

@@ -1,9 +1,10 @@
 """Hostile-shape and fuzzing checks that sit outside the acceptance
 criteria: deep chains past the interpreter recursion limit, parser
 behavior on corrupted inputs, the cost of .fm reading and writing, the
-memory of .fm reading and of .lnw writing, the cost of a negative
-verdict, the cost of building a deep class's tree, the cost of a column
-scan at a power-of-two n and the cost of certifying a deep tree."""
+memory of .fm reading and of .lnw writing, the cost of .lnw reading and
+of locating its errors, the cost of a negative verdict, the cost of
+building a deep class's tree, the cost of a column scan at a power-of-two
+n and the cost of certifying a deep tree."""
 
 import gc
 import random
@@ -12,11 +13,13 @@ import sys
 import time
 import tracemalloc
 
+import pytest
+
 from conftest import caterpillar_digraph, code_rows
 from fitchmap.core import NO_EVENT, FitchError, FitchMap, LabeledTree
 from fitchmap.evaluate import evaluate, explains
 from fitchmap.generalized import check_conditions, compute_classes, recognize
-from fitchmap.io import read_map, read_tree, write_map, write_tree
+from fitchmap.io import ParseError, read_map, read_tree, write_map, write_tree
 from fitchmap.oracle import enumerate_consistent_labelings, random_tree_like_instance, witness_holds
 from fitchmap.simple_fitch import Digraph, _decompose, derive_forbidden_table, least_resolved_simple
 from fitchmap.triples import aho_build
@@ -261,6 +264,45 @@ class TestTreeWriterMemory:
             tracemalloc.stop()
         assert len(text) > 50_000
         assert peak <= 1e6
+
+
+
+def _read_medians(texts: dict, repeats: int) -> dict:
+    """Median read_tree seconds per text, the texts interleaved so that
+    drift of the host hits every one alike, each read after a collection so
+    that no read pays for garbage of another; a text that fails to parse is
+    timed up to its ParseError."""
+    times = {key: [] for key in texts}
+    for _ in range(repeats):
+        for key, text in texts.items():
+            gc.collect()
+            t0 = time.perf_counter()
+            try:
+                read_tree(text)
+            except ParseError:
+                pass
+            times[key].append(time.perf_counter() - t0)
+    return {key: statistics.median(ts) for key, ts in times.items()}
+
+
+class TestTreeReaderCost:
+    def test_read_and_error_location_are_linear(self):
+        """Doubling n from 2048 to 4096 at most triples the median read of
+        a caterpillar (a linear reader reads about 2, a quadratic one 4) and
+        of a random tree (|M| = 8), 5 repeats; a caterpillar whose only
+        error is its last character, in place of the ';', raises in at most
+        1.5 times a valid read, so locating an error is linear too."""
+        texts = {}
+        for n in (2048, 4096):
+            texts["caterpillar", n] = write_tree(caterpillar(n - 1))
+            texts["random", n] = write_tree(random_tree_like_instance(60_002, n, 8)[0])
+        texts["error"] = texts["caterpillar", 4096][:-2] + "!\n"
+        with pytest.raises(ParseError, match="expected ';', found '!'"):
+            read_tree(texts["error"])
+        medians = _read_medians(texts, 5)
+        for family in ("caterpillar", "random"):
+            assert medians[family, 4096] / medians[family, 2048] <= 3.0
+        assert medians["error"] <= 1.5 * medians["caterpillar", 4096]
 
 
 LATE = 16
