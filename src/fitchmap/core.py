@@ -4,8 +4,9 @@ Maps on ordered leaf pairs (FitchMap), edge-labeled rooted trees
 (LabeledTree), the per-symbol leaf classes (QuasiPartition) and rooted
 triples.  Every type is immutable after construction and the constructors
 validate all structural invariants, so the algorithms never re-check them.
-FitchMap trusts one input only, a ready code array, which the package's
-builders (make_fitch_map, read_map, evaluate) write from checked input.
+FitchMap's constructor always validates; only FitchMap._from_codes takes
+a ready code array unchecked, which the package's builders
+(make_fitch_map, read_map, evaluate) write from checked input.
 
 Trees are stored in canonical form: vertices are renumbered in preorder
 with the children of every vertex ordered by the smallest leaf name in
@@ -656,29 +657,36 @@ class FitchMap:
     a power of two maps a column onto a few cache sets.  Only _eq_masks,
     and io's byte writer, which calls _rows_bytes for one-byte codes only,
     see the code width.
+
+    The constructor validates its row lists; the package's builders,
+    which check their own input, hand over a ready array through
+    _from_codes.
     """
 
     __slots__ = ("leaves", "alphabet", "_index", "_codes", "_labels")
 
     def __init__(self, leaves: Sequence[str], alphabet: Sequence[str], rows):
-        """rows: the code matrix as row sequences, which are validated with
-        the leaves and the alphabet, or as one flat array from
-        _code_array(len(alphabet)), which is kept as it is: the package's
-        builders of arrays validate their input themselves."""
-        object.__setattr__(self, "leaves", tuple(leaves))
-        object.__setattr__(self, "alphabet", tuple(alphabet))
-        n = len(self.leaves)
-        object.__setattr__(self, "_index", {nm: i for i, nm in enumerate(self.leaves)})
-        if isinstance(rows, array):
-            codes = rows
-        else:
-            _leaf_index(self.leaves)
-            codes = _list_codes(n, self.alphabet, rows)
-        if len(codes) != n * n:
-            raise ValueError(f"a map on {n} leaves needs {n * n} codes, got {len(codes)}")
+        """rows: the code matrix as n row sequences of n codes, validated
+        with the leaves and the alphabet; a flat array is not a row list."""
+        leaves, alphabet = tuple(leaves), tuple(alphabet)
+        _leaf_index(leaves)
+        self._keep(leaves, alphabet, _list_codes(len(leaves), alphabet, rows))
+
+    @classmethod
+    def _from_codes(cls, leaves: tuple, alphabet: tuple, codes: array) -> "FitchMap":
+        """The map on a ready code array from _code_array(len(alphabet)),
+        kept unchecked: the package's builders validate their input."""
+        fmap = object.__new__(cls)
+        fmap._keep(leaves, alphabet, codes)
+        return fmap
+
+    def _keep(self, leaves: tuple, alphabet: tuple, codes: array) -> None:
+        object.__setattr__(self, "leaves", leaves)
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "_index", {nm: i for i, nm in enumerate(leaves)})
         object.__setattr__(self, "_codes", codes)
         # decoding table: labels[code], and labels[-1] is the diagonal's None
-        object.__setattr__(self, "_labels", (NO_EVENT, *self.alphabet, None))
+        object.__setattr__(self, "_labels", (NO_EVENT, *alphabet, None))
 
     def __setattr__(self, name, value):
         raise AttributeError("FitchMap is immutable")
@@ -837,7 +845,7 @@ def make_fitch_map(
                 raise MissingEntry(f"no entry for ordered pair ({x}, {y})") from None
             row[j] = item[lab]
         codes.frombytes(b"".join(row))
-    return FitchMap(leaves, alphabet, codes)
+    return FitchMap._from_codes(leaves, alphabet, codes)
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ def evaluate(tree: LabeledTree) -> FitchMap:
     codes[::n + 1] = array(codes.typecode, [-1]) * n
     # every edge lies on some lca-path, so a successful evaluation
     # witnesses every symbol and the alphabet needs no re-normalization
-    return FitchMap(tree.leaf_names, alphabet, codes)
+    return FitchMap._from_codes(tree.leaf_names, alphabet, codes)
 
 
 def _root_paths(tree: LabeledTree, alphabet):

@@ -139,7 +139,7 @@ def _read_cells(text: str, start: int, names: list[str]) -> Optional[FitchMap]:
     codes = _code_array(len(alphabet))  # one byte a code, as in write_map
     for block in blocks:
         codes.frombytes(block.translate(table))
-    return FitchMap(names, tuple(alphabet.decode()), codes)
+    return FitchMap._from_codes(tuple(names), tuple(alphabet.decode()), codes)
 
 
 def _read_rows(text: str, names: list[str]) -> FitchMap:
@@ -168,7 +168,7 @@ def _read_rows(text: str, names: list[str]) -> FitchMap:
     item["."] = _item(codes, -1)
     for line in lines:
         codes.frombytes(b"".join(map(item.__getitem__, line.split("\t"))))
-    return FitchMap(names, alphabet, codes)
+    return FitchMap._from_codes(tuple(names), alphabet, codes)
 
 
 def _row_passes(cells: list[str], i: int, n: int, known: set) -> bool:

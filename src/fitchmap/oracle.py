@@ -82,48 +82,18 @@ def _topo_specs(leaves: tuple) -> tuple:
 
 
 def count_topologies(n: int) -> int:
-    """Number of rooted phylogenetic topologies on n labeled leaves,
-    via an independent counting recurrence over partition shapes."""
+    """Number of rooted phylogenetic topologies on n labeled leaves, by a
+    recurrence independent of the enumerator: T(m) sums, over the size k of
+    the first leaf's tree, C(m-1, k-1) T(k) F(m-k), where F counts the
+    forests on the other leaves, F(0) = F(1) = 1 and F(m) = 2 T(m) for
+    m >= 2, as a forest of two or more trees is a root's children."""
     if n < 1:
         raise TooFewLeaves("need at least one leaf")
-
-    @lru_cache(maxsize=None)
-    def f(k: int) -> int:
-        if k == 1:
-            return 1
-        total = 0
-        # iterate over multisets of block sizes summing to k with >= 2 blocks
-        def shapes(remaining: int, max_size: int, blocks: tuple) -> Iterator[tuple]:
-            if remaining == 0:
-                yield blocks
-                return
-            for s in range(min(remaining, max_size), 0, -1):
-                yield from shapes(remaining - s, s, blocks + (s,))
-
-        for shape in shapes(k, k - 1, ()):
-            if len(shape) < 2:
-                continue
-            ways = 1
-            left = k
-            for s in shape:
-                ways *= comb(left, s) * f(s)
-                left -= s
-            # identical-size blocks are unordered
-            mult = 1
-            run = 1
-            for i in range(1, len(shape)):
-                if shape[i] == shape[i - 1]:
-                    run += 1
-                else:
-                    for r in range(2, run + 1):
-                        mult *= r
-                    run = 1
-            for r in range(2, run + 1):
-                mult *= r
-            total += ways // mult
-        return total
-
-    return f(n)
+    trees = [0, 1]
+    for m in range(2, n + 1):
+        forests = [1, 1] + [2 * t for t in trees[2:m]]
+        trees.append(sum(comb(m - 1, k - 1) * trees[k] * forests[m - k] for k in range(1, m)))
+    return trees[n]
 
 
 def _spec_size(spec) -> int:

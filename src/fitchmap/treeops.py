@@ -1,9 +1,18 @@
 """Pure tree algorithms: ancestry, lca, paths, restriction with label
-inheritance, display testing, contraction and triple extraction."""
+inheritance, display testing, contraction and triple extraction.
+
+Every walk here relies on the canonical form of LabeledTree.  The span of
+a vertex v is an interval [lo, hi) of leaf positions, and v's subtree is
+the ids from v to the last leaf of its span, parents first.  So the lca
+of a leaf set is the lowest ancestor of any one of its leaves whose span
+covers the set's smallest and largest position (_cover); and for a leaf
+subset Y, a set A within Y is a cluster of the tree restricted to Y
+exactly when the span of lca(A) holds no leaf of Y outside A.
+"""
 
 from __future__ import annotations
 
-from itertools import combinations
+from bisect import bisect_left
 from typing import Iterable, Iterator, Optional
 
 from .core import (
@@ -16,7 +25,6 @@ from .core import (
     RootedTriple,
     SameLeaf,
     TooFewLeaves,
-    TreeBuilder,
     TripleSet,
     UnknownEdge,
     UnknownLeaf,
@@ -57,14 +65,12 @@ class TreePath:
         return f"TreePath({list(self.vertices)})"
 
 
-def lca_vertices(tree: LabeledTree, u: int, v: int) -> int:
-    """Least common ancestor of two vertices by depth walking."""
-    while u != v:
-        if tree.depth(u) >= tree.depth(v):
-            u = tree.parent(u)
-        else:
-            v = tree.parent(v)
-    return u
+def _cover(tree: LabeledTree, v: int, lo: int, hi: int) -> int:
+    """The lowest ancestor-or-self of v whose span covers positions [lo, hi)."""
+    span, parent = tree._span, tree._parent
+    while span[v][0] > lo or span[v][1] < hi:
+        v = parent[v]
+    return v
 
 
 def lca(tree: LabeledTree, names: Iterable[str]) -> int:
@@ -72,10 +78,8 @@ def lca(tree: LabeledTree, names: Iterable[str]) -> int:
     vs = [tree.vertex_of(nm) for nm in names]
     if not vs:
         raise UnknownLeaf("lca of an empty leaf set is undefined")
-    acc = vs[0]
-    for v in vs[1:]:
-        acc = lca_vertices(tree, acc, v)
-    return acc
+    at = [tree._span[v][0] for v in vs]
+    return _cover(tree, vs[0], min(at), max(at) + 1)
 
 
 def path_lca_to(tree: LabeledTree, x: str, y: str) -> TreePath:
@@ -104,59 +108,47 @@ def restrict(tree: LabeledTree, names: Iterable[str]) -> LabeledTree:
     if len(vs) < 2:
         raise TooFewLeaves("restriction needs at least 2 leaves")
 
-    # number of children branches holding selected leaves, per vertex
+    # a chosen leaf counts 2, every other vertex the number of its children
+    # that hold a chosen leaf; a vertex is kept when it counts 2 or more
+    parent = tree._parent
     bearing = [0] * tree.n_vertices
-    selected = [False] * tree.n_vertices
     for v in vs:
-        selected[v] = True
+        bearing[v] = 2
     for v in range(tree.n_vertices - 1, 0, -1):
-        if selected[v] or bearing[v] > 0:
-            bearing[tree.parent(v)] += 1
+        if bearing[v]:
+            bearing[parent[v]] += 1
 
+    # per vertex, the new id of its nearest kept ancestor-or-self and the
+    # symbol on the suppressed path below that one; top's subtree is the
+    # ids from top to the last leaf of its span, parents first
     top = lca(tree, keep_names)
-    builder = TreeBuilder()
-    new_root = builder.root()
-
-    # walk down from each kept vertex, suppressing single-branch chains
-    def descend(old_v: int, new_parent: int) -> None:
-        stack = [(c, new_parent, ()) for c in reversed(tree.children(old_v))]
-        while stack:
-            v, at, events = stack.pop()
-            if not selected[v] and bearing[v] == 0:
-                continue
-            lab = tree.label(v)
-            if lab is not NO_EVENT and lab not in events:
-                events = events + (lab,)
-            if len(events) > 1:
+    parents: list[Optional[int]] = [None]
+    labels: list[Optional[Label]] = [None]
+    new_names: dict[int, str] = {}
+    carry = {top: (0, NO_EVENT)}
+    for v in range(top + 1, tree._leafv[tree._span[top][1] - 1] + 1):
+        if not bearing[v]:
+            continue
+        at, sym = carry[parent[v]]
+        lab = tree._labels[v]
+        if lab is not NO_EVENT:
+            if sym is not NO_EVENT and sym != lab:
+                witness, symbols = min(tree.subtree_leaves(v)), sorted((sym, lab))
                 raise LabelConflict(
-                    "suppressed path into subtree at "
-                    f"{min(tree.subtree_leaves(v))!r} carries symbols "
-                    f"{sorted(events)}",
-                    witness=min(tree.subtree_leaves(v)),
-                    symbols=sorted(events),
+                    f"suppressed path into subtree at {witness!r} carries symbols {symbols}",
+                    witness=witness,
+                    symbols=symbols,
                 )
-            kept = selected[v] or bearing[v] >= 2
-            if kept:
-                new_label: Label = events[0] if events else NO_EVENT
-                nv = builder.child(at, new_label, tree.name(v) if selected[v] else None)
-                for c in reversed(tree.children(v)):
-                    stack.append((c, nv, ()))
-            else:
-                for c in reversed(tree.children(v)):
-                    stack.append((c, at, events))
-
-    descend(top, new_root)
-    return builder.freeze()
-
-
-def _restricted_clusters(tree: LabeledTree, names: frozenset) -> set:
-    """Clusters of the label-free restriction tree|names (no tree built)."""
-    out = set()
-    for c in tree.clusters():
-        cut = c & names
-        if cut:
-            out.add(cut)
-    return out
+            sym = lab
+        if bearing[v] >= 2:
+            carry[v] = (len(parents), NO_EVENT)
+            parents.append(at)
+            labels.append(sym)
+            if tree._names[v] is not None:
+                new_names[len(parents) - 1] = tree._names[v]
+        else:
+            carry[v] = (at, sym)
+    return LabeledTree(parents, labels, new_names)
 
 
 def displays(big: LabeledTree, small: LabeledTree) -> bool:
@@ -164,39 +156,52 @@ def displays(big: LabeledTree, small: LabeledTree) -> bool:
 
     Equivalent to: every cluster of small is a cluster of big restricted to
     small's leaf set, i.e. small arises from that restriction by edge
-    contractions.
+    contractions.  A cluster is one exactly when the span of its lca in big
+    holds no other leaf of small.
     """
     small_names = frozenset(small.leaf_names)
     if not small_names <= set(big.leaf_names):
         raise LeafSetNotContained(
             "the small tree has leaves outside the big tree's leaf set"
         )
-    return small.clusters() <= _restricted_clusters(big, small_names)
+    span = big._span
+    # small's leaves as big's leaf positions, sorted, to count the leaves
+    # of small that a span of big holds
+    at = sorted(span[big.vertex_of(nm)][0] for nm in small_names)
+    # bottom-up, each vertex's lca in big is walked up from its first
+    # child's; the walks of clusters that pass share no edge of big, so the
+    # loop is linear up to the first cluster that fails
+    up = [0] * small.n_vertices
+    for u in range(small.n_vertices - 1, -1, -1):
+        kids = small._children[u]
+        if not kids:
+            up[u] = big.vertex_of(small._names[u])
+            continue
+        lo = min(span[up[c]][0] for c in kids)
+        hi = max(span[up[c]][1] for c in kids)
+        up[u] = v = _cover(big, up[kids[0]], lo, hi)
+        lo, hi = span[v]
+        if bisect_left(at, hi) - bisect_left(at, lo) != small._span[u][1] - small._span[u][0]:
+            return False
+    return True
 
 
 def triples_of(tree: LabeledTree) -> TripleSet:
     """All rooted triples displayed by the tree.
 
-    ab|c is displayed iff lca(a,b) lies strictly below lca(a,b,c); the
-    overall lca of a triple is the shallowest of its three pairwise lcas,
-    and at most one pairwise lca is strictly deeper.
+    ab|c is displayed iff lca(a, b) lies strictly below lca(a, b, c), that
+    is iff c lies outside span(lca(a, b)).  For leaf positions i < j, the
+    lcas of (i, j) for growing j are walked up from leaf i.
     """
-    names = tree.leaf_names
-    pair_lca: dict[tuple[int, int], int] = {}
-    for i, j in combinations(range(len(names)), 2):
-        pair_lca[(i, j)] = lca_vertices(tree, tree.leaf_vertices[i], tree.leaf_vertices[j])
+    names, n, span = tree.leaf_names, tree.n_leaves, tree._span
     out = []
-    for i, j, k in combinations(range(len(names)), 3):
-        dij = tree.depth(pair_lca[(i, j)])
-        dik = tree.depth(pair_lca[(i, k)])
-        djk = tree.depth(pair_lca[(j, k)])
-        dtop = min(dij, dik, djk)
-        if dij > dtop:
-            out.append(RootedTriple(names[i], names[j], names[k]))
-        elif dik > dtop:
-            out.append(RootedTriple(names[i], names[k], names[j]))
-        elif djk > dtop:
-            out.append(RootedTriple(names[j], names[k], names[i]))
+    for i, v in enumerate(tree._leafv):
+        for j in range(i + 1, n):
+            v = _cover(tree, v, i, j + 1)
+            lo, hi = span[v]
+            a, b = names[i], names[j]
+            out.extend(RootedTriple(a, b, c) for c in names[:lo])
+            out.extend(RootedTriple(a, b, c) for c in names[hi:])
     return TripleSet(out)
 
 

@@ -1,4 +1,5 @@
 import pickle
+from array import array
 import random
 import re
 from pathlib import Path
@@ -264,6 +265,17 @@ class TestFitchMapFromRows:
     def test_alphabet(self, alphabet, codes, error):
         with pytest.raises(error):
             FitchMap(["a", "b"], alphabet, [[-1, codes[0]], [codes[1], -1]])
+
+    @pytest.mark.parametrize("leaves, codes, error", [
+        (["a", "a"], [5, 5, 5, 5], DuplicateLeaf),  # a duplicate leaf
+        (["a", "b"], [-1, 5, 1, -1], ValueError),   # a code past the alphabet
+        (["a", "b"], [0, 1, 1, 0], ValueError),     # a diagonal of 0s
+        (["a", "b"], [-1, 1, 1, -1], ValueError),   # even a well-formed one
+    ])
+    def test_flat_array_is_rejected(self, leaves, codes, error):
+        """Only the package's builders hand over a ready code array."""
+        with pytest.raises(error):
+            FitchMap(leaves, ("x",), array("b", codes))
 
 
 class TestQuasiPartition:

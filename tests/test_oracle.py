@@ -36,6 +36,16 @@ class TestTopologyEnumeration:
         names = [f"t{i}" for i in range(n)]
         assert sum(1 for _ in enumerate_topologies(names)) == count
 
+    @pytest.mark.parametrize("n,count", [(7, 39208), (8, 660032), (9, 12818912), (10, 282137824)])
+    def test_counts_past_enumeration(self, n, count):
+        # the number of rooted phylogenetic trees on n labeled leaves
+        # (OEIS A000311), not enumerated here
+        assert count_topologies(n) == count
+
+    def test_count_needs_a_leaf(self):
+        with pytest.raises(TooFewLeaves):
+            count_topologies(0)
+
     def test_no_duplicates_and_valid(self):
         names = list("abcde")
         seen = set()

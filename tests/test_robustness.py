@@ -4,7 +4,8 @@ behavior on corrupted inputs, the cost of .fm reading and writing, the
 memory of .fm reading and of .lnw writing, the cost of .lnw reading and
 of locating its errors, the cost of a negative verdict, the cost of
 building a deep class's tree, the cost of a column scan at a power-of-two
-n and the cost of certifying a deep tree."""
+n, the cost of certifying a deep tree and the cost and memory of
+restriction and display on a deep tree."""
 
 import gc
 import random
@@ -23,7 +24,7 @@ from fitchmap.io import ParseError, read_map, read_tree, write_map, write_tree
 from fitchmap.oracle import enumerate_consistent_labelings, random_tree_like_instance, witness_holds
 from fitchmap.simple_fitch import Digraph, _decompose, derive_forbidden_table, least_resolved_simple
 from fitchmap.triples import aho_build
-from fitchmap.treeops import triples_of
+from fitchmap.treeops import displays, restrict, triples_of
 
 
 def caterpillar(depth: int) -> LabeledTree:
@@ -514,3 +515,52 @@ class TestDepthIndependentCertificate:
         assert best[2048, "explains"] <= 3.0 * best["random", "explains"]
         assert best[2048, "evaluate"] / best[1024, "evaluate"] <= 5.0
         assert best[2048, "explains"] / best[1024, "explains"] <= 5.0
+
+
+def _call_medians(calls: dict, samples: int = 5) -> dict:
+    """Median seconds per call, the calls interleaved so that drift of the
+    host hits every one alike; each sample follows a collection and repeats
+    its call until it lasts at least 20 ms."""
+    times = {key: [] for key in calls}
+    for _ in range(samples):
+        for key, call in calls.items():
+            gc.collect()
+            reps, t0 = 0, time.perf_counter()
+            while True:
+                call()
+                reps += 1
+                dt = time.perf_counter() - t0
+                if dt >= 0.02:
+                    break
+            times[key].append(dt / reps)
+    return {key: statistics.median(ts) for key, ts in times.items()}
+
+
+class TestTreeOpsCost:
+    def test_restrict_is_linear(self):
+        """Restricting a caterpillar to all of its leaves: doubling n from
+        2048 to 4096 at most triples the median (a linear walk reads about
+        2, a quadratic one 4)."""
+        trees = {n: caterpillar(n) for n in (2048, 4096)}
+        for tree in trees.values():
+            assert restrict(tree, tree.leaf_names) == tree
+        medians = _call_medians({
+            n: lambda tree=tree: restrict(tree, tree.leaf_names) for n, tree in trees.items()
+        })
+        assert medians[4096] / medians[2048] <= 3.0
+
+    def test_displays_is_linear_and_compact(self):
+        """displays(t, t) on a caterpillar: doubling n from 1024 to 2048 at
+        most triples the median, and n = 2048 peaks at most 2 MB, as no
+        cluster is built as a set."""
+        trees = {n: caterpillar(n) for n in (1024, 2048)}
+        medians = _call_medians({n: lambda tree=tree: displays(tree, tree) for n, tree in trees.items()})
+        assert medians[2048] / medians[1024] <= 3.0
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert displays(trees[2048], trees[2048])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2e6

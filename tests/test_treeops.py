@@ -1,7 +1,11 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from fitchmap.core import (
     NO_EVENT,
+    FitchError,
     LabelConflict,
     LabeledTree,
     LeafSetNotContained,
@@ -9,6 +13,8 @@ from fitchmap.core import (
     RootedTriple,
     SameLeaf,
     TooFewLeaves,
+    TreeBuilder,
+    TripleSet,
     UnknownEdge,
 )
 from fitchmap.oracle import random_tree_like_instance
@@ -256,3 +262,155 @@ class TestContractEdge:
             assert got.n_vertices == tree.n_vertices - 1
             assert set(got.leaf_names) == set(tree.leaf_names)
             assert displays(tree, got)
+
+
+def _reference_lca_vertices(tree, u, v):
+    while u != v:
+        if tree.depth(u) >= tree.depth(v):
+            u = tree.parent(u)
+        else:
+            v = tree.parent(v)
+    return u
+
+
+def reference_lca(tree, names):
+    """The earlier lca, kept as the reference for the differential test: a
+    pairwise fold of depth walks."""
+    vs = [tree.vertex_of(nm) for nm in names]
+    acc = vs[0]
+    for v in vs[1:]:
+        acc = _reference_lca_vertices(tree, acc, v)
+    return acc
+
+
+def reference_restrict(tree, names):
+    """The earlier restrict: a stack walk down from the lca that builds the
+    restriction through a TreeBuilder."""
+    keep_names = set(names)
+    vs = [tree.vertex_of(nm) for nm in keep_names]
+    if len(vs) < 2:
+        raise TooFewLeaves("restriction needs at least 2 leaves")
+    bearing = [0] * tree.n_vertices
+    selected = [False] * tree.n_vertices
+    for v in vs:
+        selected[v] = True
+    for v in range(tree.n_vertices - 1, 0, -1):
+        if selected[v] or bearing[v] > 0:
+            bearing[tree.parent(v)] += 1
+    builder = TreeBuilder()
+    root = builder.root()
+    stack = [(c, root, ()) for c in reversed(tree.children(reference_lca(tree, keep_names)))]
+    while stack:
+        v, at, events = stack.pop()
+        if not selected[v] and bearing[v] == 0:
+            continue
+        lab = tree.label(v)
+        if lab is not NO_EVENT and lab not in events:
+            events = events + (lab,)
+        if len(events) > 1:
+            raise LabelConflict(
+                "suppressed path into subtree at "
+                f"{min(tree.subtree_leaves(v))!r} carries symbols "
+                f"{sorted(events)}",
+                witness=min(tree.subtree_leaves(v)),
+                symbols=sorted(events),
+            )
+        if selected[v] or bearing[v] >= 2:
+            nv = builder.child(at, events[0] if events else NO_EVENT, tree.name(v) if selected[v] else None)
+            stack.extend((c, nv, ()) for c in reversed(tree.children(v)))
+        else:
+            stack.extend((c, at, events) for c in reversed(tree.children(v)))
+    return builder.freeze()
+
+
+def reference_displays(big, small):
+    """The earlier displays: every cluster of small among the clusters of
+    big cut down to small's leaves, as frozensets."""
+    names = frozenset(small.leaf_names)
+    if not names <= set(big.leaf_names):
+        raise LeafSetNotContained("the small tree has leaves outside the big tree's leaf set")
+    return small.clusters() <= {c & names for c in big.clusters() if c & names}
+
+
+def reference_triples_of(tree):
+    """The earlier triples_of: ab|c when lca(a, b) is strictly deeper than
+    the shallowest of the three pairwise lcas."""
+    names, leafv = tree.leaf_names, tree.leaf_vertices
+    pair = {
+        (i, j): tree.depth(_reference_lca_vertices(tree, leafv[i], leafv[j]))
+        for i, j in combinations(range(len(names)), 2)
+    }
+    out = []
+    for i, j, k in combinations(range(len(names)), 3):
+        dij, dik, djk = pair[i, j], pair[i, k], pair[j, k]
+        top = min(dij, dik, djk)
+        if dij > top:
+            out.append(RootedTriple(names[i], names[j], names[k]))
+        elif dik > top:
+            out.append(RootedTriple(names[i], names[k], names[j]))
+        elif djk > top:
+            out.append(RootedTriple(names[j], names[k], names[i]))
+    return TripleSet(out)
+
+
+def _outcome(f, *args):
+    """A tree's arrays, or the class, message, witness and symbols of the
+    domain error f raises."""
+    try:
+        got = f(*args)
+    except FitchError as e:
+        return type(e), str(e), getattr(e, "witness", None), getattr(e, "symbols", None)
+    return got._parent, got._labels, got._names
+
+
+def _renamed(tree, names):
+    """tree's topology and labels with its leaves renamed to `names`."""
+    return LabeledTree(
+        [tree.parent(v) for v in range(tree.n_vertices)],
+        [tree.label(v) for v in range(tree.n_vertices)],
+        dict(zip(tree.leaf_vertices, names)),
+    )
+
+
+class TestSpanWalksAgainstReference:
+    def test_random_trees_match_reference(self):
+        """lca, restrict, triples_of and displays agree with the depth-walk
+        references on 3,000 seeded trees of 2 to 25 leaves and 0 to 3
+        symbols, 40% of them relabeled at random to provoke conflicts."""
+        rng = random.Random(314)
+        counts = dict.fromkeys(("conflict", "restricted", "displayed", "not displayed"), 0)
+        for seed in range(3_000):
+            n, k = rng.randint(2, 25), rng.randint(0, 3)
+            tree, _ = random_tree_like_instance(90_000 + seed, n, k)
+            if rng.random() < 0.4:
+                pool = (NO_EVENT, "1", "2", "3")
+                tree = tree.with_labels([None] + [rng.choice(pool) for _ in range(tree.n_vertices - 1)])
+            names = tree.leaf_names
+
+            some = rng.sample(names, rng.randint(1, n))
+            assert lca(tree, some) == reference_lca(tree, some)
+            assert triples_of(tree) == reference_triples_of(tree)
+
+            keep = rng.sample(names, rng.randint(2, n))
+            got = _outcome(restrict, tree, keep)
+            assert got == _outcome(reference_restrict, tree, keep), (tree, keep)
+            counts["conflict" if got[0] is LabelConflict else "restricted"] += 1
+
+            # displays candidates: the label-free restriction, it contracted
+            # at random inner edges, and random trees renamed onto its leaves
+            small = restrict(tree.with_labels([None] + [NO_EVENT] * (tree.n_vertices - 1)), keep)
+            candidates = [tree, small]
+            inner = list(small.inner_edges())
+            while inner:
+                small = contract_edge(small, rng.choice(inner))
+                candidates.append(small)
+                inner = list(small.inner_edges())
+            for size in (len(keep), n):
+                if size >= 2:
+                    other, _ = random_tree_like_instance(rng.randrange(10**6), size, 0)
+                    candidates.append(_renamed(other, rng.sample(keep if size < n else names, size)))
+            for cand in candidates:
+                want = reference_displays(tree, cand)
+                assert displays(tree, cand) == want, (tree, cand)
+                counts["displayed" if want else "not displayed"] += 1
+        assert all(counts.values()), counts
