@@ -1,9 +1,13 @@
 """Shared test helpers: independent brute-force oracles kept deliberately
-dumb so they certify the fast implementations, and input builders."""
+dumb so they certify the fast implementations, input builders, and the
+one timing helper of the cost gates."""
 
 from __future__ import annotations
 
+import gc
 import random
+import statistics
+import time
 
 import pytest
 
@@ -157,6 +161,40 @@ def caterpillar_digraph(k: int) -> Digraph:
     in_ = [(1 << i) - 1 for i in range(k)]
     out = [full ^ ((2 << i) - 1) for i in range(k)]
     return Digraph._from_masks(tuple(f"z{i}" for i in range(k)), out, in_)
+
+
+def median_seconds(calls: dict) -> dict:
+    """Median seconds per call for each key of a dict of zero-argument
+    calls: the cost gates' one timing method.  Each call first runs once
+    untimed, so that fresh-memory page faults land there.  Then the calls
+    take 5 samples each, interleaved so that drift of the host hits every
+    one alike; each sample follows a collection, so that no call pays for
+    another's garbage, and repeats its call until it lasts at least 20 ms,
+    so that timer and scheduler noise stay small beside it.
+
+    What is alive once the warm-up's garbage is collected, the inputs and
+    all that the test session keeps, is frozen while sampling.  So each
+    collection, and any that a call sets off, scans only what the calls
+    made: in a full run an unfrozen collection takes over 100 ms, once the
+    triple-closure cache fills."""
+    for call in calls.values():
+        call()
+    gc.collect()
+    gc.freeze()
+    try:
+        times = {key: [] for key in calls}
+        for _ in range(5):
+            for key, call in calls.items():
+                gc.collect()
+                reps, dt, t0 = 0, 0.0, time.perf_counter()
+                while dt < 0.02:
+                    call()
+                    reps += 1
+                    dt = time.perf_counter() - t0
+                times[key].append(dt / reps)
+    finally:
+        gc.unfreeze()
+    return {key: statistics.median(ts) for key, ts in times.items()}
 
 
 @pytest.fixture

@@ -61,6 +61,40 @@ class TestRecognize:
             "witness": {"leaf": "c", "symbols": ["1", "2"]},
         }
 
+    @pytest.mark.parametrize(
+        "text, message, reason, witness",
+        [
+            (
+                "#fitchmap v1\na\tb\tc\n.\t-\t-\n1\t.\t-\n-\t-\t.\n",
+                "arc ('c', 'a') into the '1'-class carries '-' instead of '1'",
+                "T3",
+                {"x": "a", "y": "c", "expected": "1", "found": "-"},
+            ),
+            (
+                "#fitchmap v1\na\tb\tc\n.\t1\t2\n3\t.\t4\n5\t-\t.\n",
+                "5 symbols cannot fit on a tree with 4 edges at most",
+                "alphabet-too-large",
+                {"symbols": 5, "limit": 4},
+            ),
+            (
+                "#fitchmap v1\na\tb\tc\n.\t1\t2\n3\t.\t4\n5\t6\t.\n",
+                "6 symbols cannot fit on a tree with 4 edges at most",
+                "alphabet-too-large",
+                {"symbols": 6, "limit": 4},
+            ),
+        ],
+    )
+    def test_verdict_text_and_json_witness(self, tmp_path, capsys, text, message, reason, witness):
+        path = tmp_path / "bad.fm"
+        path.write_text(text)
+        code, out, err = run(capsys, "recognize", str(path))
+        assert (code, out, err) == (1, "", f"not tree-like: {message}\n")
+        code, out, err = run(capsys, "recognize", str(path), "--report", "json")
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {
+            "v": 1, "verdict": "not-tree-like", "reason": reason, "witness": witness,
+        }
+
     def test_json_report_on_success(self, tmp_path, capsys):
         path = tmp_path / "ok.fm"
         tree = tmp_path / "ok.lnw"
@@ -156,6 +190,14 @@ class TestTriplesAndAho:
         code, _, err = run(capsys, "aho", str(tf), "--leaves", "a,b,c")
         assert code == 1
         assert "inconsistent" in err
+
+    @pytest.mark.parametrize("text, line", [("a b c\n", 1), ("a b | c\n\na | b\n", 3)])
+    def test_aho_parse_error_exit_two(self, tmp_path, capsys, text, line):
+        tf = tmp_path / "r.txt"
+        tf.write_text(text)
+        code, out, err = run(capsys, "aho", str(tf), "--leaves", "a,b,c")
+        assert (code, out) == (2, "")
+        assert err == f"error: line {line}, column 1: expected 'a b | c'\n"
 
 
 class TestGenRandomAndOracle:

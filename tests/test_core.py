@@ -155,6 +155,28 @@ class TestLabeledTree:
         with pytest.raises(NonPhylogenetic, match="^tree is disconnected$"):
             LabeledTree(parents, labels, names)
 
+    @pytest.mark.parametrize(
+        "parents, labels, names, error, message",
+        [
+            ([None, 0, 0], [None, "1"], {1: "a", 2: "b"},
+             ValueError, "parents and labels must have equal length"),
+            ([2, 0, 0], [None] * 3, {1: "a", 2: "b"},
+             NonPhylogenetic, "tree must have exactly one root, found 0"),
+            ([None, None, 0, 0], [None] * 4, {1: "a", 2: "b", 3: "c"},
+             NonPhylogenetic, "tree must have exactly one root, found 2"),
+            ([None, 0, 5], [None] * 3, {1: "a", 2: "b"},
+             NonPhylogenetic, "vertex 2 has out-of-range parent 5"),
+            ([None, 0, 0], [None] * 3, {1: "a"},
+             NonPhylogenetic, "leaf_name must be a bijection on the leaf vertices"),
+            ([None, 0, 0], [None] * 3, {0: "r", 1: "a", 2: "b"},
+             NonPhylogenetic, "leaf_name must be a bijection on the leaf vertices"),
+        ],
+    )
+    def test_constructor_errors(self, parents, labels, names, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+            LabeledTree(parents, labels, names)
+        assert info.type is error
+
     def test_duplicate_leaf_names_rejected(self):
         with pytest.raises(DuplicateLeafName):
             LabeledTree.build((("a", NO_EVENT), ("a", "1")))

@@ -330,6 +330,14 @@ class TestAssemble:
         assert not explains(t, m)
         assert check_conditions(m, forged) == T4Violation(x="b", y="a", found="1")
 
+    def test_forged_class_t4_text(self):
+        # recognize() never names T4; only a forged partition reaches it
+        m = make_fitch_map(["a", "b"], {("a", "b"): "1", ("b", "a"): NO_EVENT})
+        forged = QuasiPartition({NO_EVENT: {"a", "b"}, "1": set()})
+        assert check_conditions(m, forged).describe() == (
+            "leaf 'b' is in the no-event class but arc ('a', 'b') carries '1'"
+        )
+
     def test_single_class_with_inner_structure(self):
         # X = X_1 with a non-star least-resolved tree: the class tree is
         # returned as-is (hanging it below an extra edge would leave a

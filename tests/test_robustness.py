@@ -5,18 +5,22 @@ memory of .fm reading and of .lnw writing, the cost of .lnw reading and
 of locating its errors, the cost of a negative verdict, the cost of
 building a deep class's tree, the cost of a column scan at a power-of-two
 n, the cost of certifying a deep tree and the cost and memory of
-restriction and display on a deep tree."""
+restriction and display on a deep tree.
 
+Every cost gate times its calls with conftest.median_seconds: one untimed
+warm-up call per key, then the median of 5 interleaved samples, each
+after a collection and each at least 20 ms long.  The checks on what
+the calls return run once, outside the timed calls."""
+
+import contextlib
 import gc
 import random
-import statistics
 import sys
-import time
 import tracemalloc
 
 import pytest
 
-from conftest import caterpillar_digraph, code_rows
+from conftest import caterpillar_digraph, code_rows, median_seconds
 from fitchmap.core import NO_EVENT, FitchError, FitchMap, LabeledTree
 from fitchmap.evaluate import evaluate, explains
 from fitchmap.generalized import check_conditions, compute_classes, recognize
@@ -189,24 +193,16 @@ class TestParserFuzz:
                 pass
 
 
-def _io_medians(texts: dict, repeats: int):
-    """Median read_map and write_map seconds per size, sizes interleaved so
-    that drift of the host hits every size alike."""
-    reads = {n: [] for n in texts}
-    writes = {n: [] for n in texts}
-    for _ in range(repeats):
-        for n, text in texts.items():
-            t0 = time.perf_counter()
-            fmap = read_map(text)
-            t1 = time.perf_counter()
-            out = write_map(fmap)
-            writes[n].append(time.perf_counter() - t1)
-            reads[n].append(t1 - t0)
-            assert out == text
-    return (
-        {n: statistics.median(ts) for n, ts in reads.items()},
-        {n: statistics.median(ts) for n, ts in writes.items()},
-    )
+def _map_io_medians(texts: dict) -> dict:
+    """Median read_map and write_map seconds, keyed ("read", n) and
+    ("write", n), once writing what was read gives each text back."""
+    calls = {}
+    for n, text in texts.items():
+        fmap = read_map(text)
+        assert write_map(fmap) == text
+        calls["read", n] = lambda text=text: read_map(text)
+        calls["write", n] = lambda fmap=fmap: write_map(fmap)
+    return median_seconds(calls)
 
 
 def _distinct_symbol_map(n: int) -> str:
@@ -219,19 +215,19 @@ def _distinct_symbol_map(n: int) -> str:
 class TestMapIOCost:
     def test_tree_like_map_io_is_quadratic(self):
         """Doubling n at most quintuples the median read and write time
-        (|M| = 8, 5 repeats), and reading n=1024 takes under 5 s."""
+        (|M| = 8), and reading n=1024 takes under 5 s."""
         texts = {n: write_map(random_tree_like_instance(60_000, n, 8)[1]) for n in (512, 1024)}
-        reads, writes = _io_medians(texts, 5)
-        assert reads[1024] < 5.0
-        assert reads[1024] / reads[512] <= 5.0
-        assert writes[1024] / writes[512] <= 5.0
+        t = _map_io_medians(texts)
+        assert t["read", 1024] < 5.0
+        assert t["read", 1024] / t["read", 512] <= 5.0
+        assert t["write", 1024] / t["write", 512] <= 5.0
 
     def test_distinct_symbol_map_io_is_quadratic(self):
         """A map whose every off-diagonal cell is its own symbol: n^2 tokens
         to check and an alphabet of n^2 - n symbols to sort."""
-        reads, writes = _io_medians({n: _distinct_symbol_map(n) for n in (128, 256)}, 7)
-        assert reads[256] / reads[128] <= 5.0
-        assert writes[256] / writes[128] <= 5.0
+        t = _map_io_medians({n: _distinct_symbol_map(n) for n in (128, 256)})
+        assert t["read", 256] / t["read", 128] <= 5.0
+        assert t["write", 256] / t["write", 128] <= 5.0
 
 
 class TestMapReaderMemory:
@@ -268,39 +264,28 @@ class TestTreeWriterMemory:
 
 
 
-def _read_medians(texts: dict, repeats: int) -> dict:
-    """Median read_tree seconds per text, the texts interleaved so that
-    drift of the host hits every one alike, each read after a collection so
-    that no read pays for garbage of another; a text that fails to parse is
-    timed up to its ParseError."""
-    times = {key: [] for key in texts}
-    for _ in range(repeats):
-        for key, text in texts.items():
-            gc.collect()
-            t0 = time.perf_counter()
-            try:
-                read_tree(text)
-            except ParseError:
-                pass
-            times[key].append(time.perf_counter() - t0)
-    return {key: statistics.median(ts) for key, ts in times.items()}
-
-
 class TestTreeReaderCost:
     def test_read_and_error_location_are_linear(self):
         """Doubling n from 2048 to 4096 at most triples the median read of
         a caterpillar (a linear reader reads about 2, a quadratic one 4) and
-        of a random tree (|M| = 8), 5 repeats; a caterpillar whose only
-        error is its last character, in place of the ';', raises in at most
-        1.5 times a valid read, so locating an error is linear too."""
+        of a random tree (|M| = 8); a caterpillar whose only error is its
+        last character, in place of the ';', raises in at most 1.5 times a
+        valid read, so locating an error is linear too."""
         texts = {}
         for n in (2048, 4096):
             texts["caterpillar", n] = write_tree(caterpillar(n - 1))
             texts["random", n] = write_tree(random_tree_like_instance(60_002, n, 8)[0])
-        texts["error"] = texts["caterpillar", 4096][:-2] + "!\n"
+        error = texts["caterpillar", 4096][:-2] + "!\n"
         with pytest.raises(ParseError, match="expected ';', found '!'"):
-            read_tree(texts["error"])
-        medians = _read_medians(texts, 5)
+            read_tree(error)
+
+        def read_to_error():
+            with contextlib.suppress(ParseError):
+                read_tree(error)
+
+        calls = {key: lambda text=text: read_tree(text) for key, text in texts.items()}
+        calls["error"] = read_to_error
+        medians = median_seconds(calls)
         for family in ("caterpillar", "random"):
             assert medians[family, 4096] / medians[family, 2048] <= 3.0
         assert medians["error"] <= 1.5 * medians["caterpillar", 4096]
@@ -352,10 +337,9 @@ def _late_flip_t2_map(seed: int, n: int):
 
 class TestNegativeVerdictCost:
     def test_late_t2_witness_is_quadratic(self):
-        """Late-flip T2 maps: doubling n at most quintuples the median
-        recognize() time (5 maps per size, each map's best of 3 runs, sizes
-        interleaved), n=1024 stays under 5 s, and the witness is the first
-        forbidden triad."""
+        """Late-flip T2 maps: doubling n at most quintuples the median time
+        to recognize() 5 maps, those 5 at n=1024 take under 5 s, and each
+        witness is the first forbidden triad."""
         maps = {n: [] for n in (512, 1024)}
         seed = 70_000
         for n, found in maps.items():
@@ -364,17 +348,14 @@ class TestNegativeVerdictCost:
                 seed += 1
                 if planted is not None:
                     found.append(planted)
-        best = {n: [float("inf")] * 5 for n in maps}
-        for _ in range(3):
-            for r in range(5):
-                for n in maps:
-                    fmap, triad = maps[n][r]
-                    t0 = time.perf_counter()
-                    report = recognize(fmap)
-                    best[n][r] = min(best[n][r], time.perf_counter() - t0)
-                    assert not report.tree_like
-                    assert report.reason.kind == "T2" and report.reason.triad == triad
-        medians = {n: statistics.median(ts) for n, ts in best.items()}
+        for fmap, triad in maps[512] + maps[1024]:
+            report = recognize(fmap)
+            assert not report.tree_like
+            assert report.reason.kind == "T2" and report.reason.triad == triad
+        medians = median_seconds({
+            n: lambda found=found: [recognize(fmap) for fmap, _ in found]
+            for n, found in maps.items()
+        })
         assert medians[1024] < 5.0
         assert medians[1024] / medians[512] <= 5.0
 
@@ -396,25 +377,18 @@ def _late_flip_t3_map(seed: int, n: int):
 
 class TestNegativeVerdictT3Cost:
     def test_late_t3_witness_is_quadratic(self):
-        """Late-flip T3 maps: doubling n at most quintuples the median
-        recognize() time (5 maps per size, each map's best of 3 runs, sizes
-        interleaved), n=1024 stays under 5 s, and the witness is the one
-        check_conditions() names and holds on the map."""
+        """Late-flip T3 maps: doubling n at most quintuples the median time
+        to recognize() 5 maps, those 5 at n=1024 take under 5 s, and each
+        witness is the one check_conditions() names and holds on the map."""
         maps = {n: [_late_flip_t3_map(80_000 + r, n) for r in range(5)] for n in (512, 1024)}
-        best = {n: [float("inf")] * 5 for n in maps}
-        for _ in range(3):
-            for r in range(5):
-                for n in maps:
-                    fmap = maps[n][r]
-                    t0 = time.perf_counter()
-                    report = recognize(fmap)
-                    best[n][r] = min(best[n][r], time.perf_counter() - t0)
-                    assert not report.tree_like and report.reason.kind == "T3"
         for fmap in maps[512] + maps[1024]:
-            reason = recognize(fmap).reason
-            assert reason == check_conditions(fmap, compute_classes(fmap))
-            assert witness_holds(fmap, reason)
-        medians = {n: statistics.median(ts) for n, ts in best.items()}
+            report = recognize(fmap)
+            assert not report.tree_like and report.reason.kind == "T3"
+            assert report.reason == check_conditions(fmap, compute_classes(fmap))
+            assert witness_holds(fmap, report.reason)
+        medians = median_seconds({
+            n: lambda found=found: [recognize(fmap) for fmap in found] for n, found in maps.items()
+        })
         assert medians[1024] < 5.0
         assert medians[1024] / medians[512] <= 5.0
 
@@ -437,25 +411,18 @@ def _late_flip_t1_map(seed: int, n: int):
 
 class TestNegativeVerdictT1Cost:
     def test_late_t1_witness_is_quadratic(self):
-        """Late-flip T1 maps: doubling n at most quintuples the median
-        recognize() time (5 maps per size, each map's best of 3 runs, sizes
-        interleaved), n=1024 stays under 5 s, and the witness is the one
-        compute_classes() names and holds on the map."""
+        """Late-flip T1 maps: doubling n at most quintuples the median time
+        to recognize() 5 maps, those 5 at n=1024 take under 5 s, and each
+        witness is the one compute_classes() names and holds on the map."""
         maps = {n: [_late_flip_t1_map(90_000 + r, n) for r in range(5)] for n in (512, 1024)}
-        best = {n: [float("inf")] * 5 for n in maps}
-        for _ in range(3):
-            for r in range(5):
-                for n in maps:
-                    fmap = maps[n][r]
-                    t0 = time.perf_counter()
-                    report = recognize(fmap)
-                    best[n][r] = min(best[n][r], time.perf_counter() - t0)
-                    assert not report.tree_like and report.reason.kind == "T1"
         for fmap in maps[512] + maps[1024]:
-            reason = recognize(fmap).reason
-            assert reason == compute_classes(fmap)
-            assert witness_holds(fmap, reason)
-        medians = {n: statistics.median(ts) for n, ts in best.items()}
+            report = recognize(fmap)
+            assert not report.tree_like and report.reason.kind == "T1"
+            assert report.reason == compute_classes(fmap)
+            assert witness_holds(fmap, report.reason)
+        medians = median_seconds({
+            n: lambda found=found: [recognize(fmap) for fmap in found] for n, found in maps.items()
+        })
         assert medians[1024] < 5.0
         assert medians[1024] / medians[512] <= 5.0
 
@@ -463,32 +430,24 @@ class TestNegativeVerdictT1Cost:
 class TestDeepClassCost:
     def test_caterpillar_class_is_not_worse_than_quadratic(self):
         """A single-symbol class nested k deep: doubling k at most
-        quintuples the best of 3 _decompose runs (sizes interleaved)."""
+        quintuples the median _decompose time."""
         graphs = {k: caterpillar_digraph(k) for k in (2048, 4096)}
-        best = dict.fromkeys(graphs, float("inf"))
-        for _ in range(3):
-            for k, g in graphs.items():
-                t0 = time.perf_counter()
-                tree = _decompose(g, "1")
-                best[k] = min(best[k], time.perf_counter() - t0)
-                assert tree.n_leaves == k
-                assert max(map(tree.depth, range(tree.n_vertices))) == k - 1
-        assert best[4096] / best[2048] <= 5.0
+        for k, g in graphs.items():
+            tree = _decompose(g, "1")
+            assert tree.n_leaves == k
+            assert max(map(tree.depth, range(tree.n_vertices))) == k - 1
+        medians = median_seconds({k: lambda g=g: _decompose(g, "1") for k, g in graphs.items()})
+        assert medians[4096] / medians[2048] <= 5.0
 
 
 class TestPowerOfTwoColumnScan:
     def test_power_of_two_n_costs_what_its_neighbour_costs(self):
         """A row of 2048 bytes puts every entry of a column into the same
         few cache sets: _in_masks() on a tree-like n=2048 map costs at most
-        1.4x per entry what it costs at n=2000 (best of 5, interleaved)."""
+        1.4x per entry what it costs at n=2000."""
         maps = {n: random_tree_like_instance(7, n, 8)[1] for n in (2000, 2048)}
-        best = dict.fromkeys(maps, float("inf"))
-        for _ in range(5):
-            for n, fmap in maps.items():
-                t0 = time.perf_counter()
-                fmap._in_masks()
-                best[n] = min(best[n], time.perf_counter() - t0)
-        per_entry = {n: t / (n * n) for n, t in best.items()}
+        medians = median_seconds({n: fmap._in_masks for n, fmap in maps.items()})
+        per_entry = {n: t / (n * n) for n, t in medians.items()}
         assert per_entry[2048] / per_entry[2000] <= 1.4
 
 
@@ -497,43 +456,20 @@ class TestDepthIndependentCertificate:
         """The row template costs the same on any tree shape: explains() on a
         2048-leaf caterpillar takes at most 3x its time on a random tree of
         the same size, and doubling the caterpillar from 1024 to 2048 leaves
-        at most quintuples evaluate() and explains() (best of 5, interleaved)."""
+        at most quintuples the median evaluate() and explains()."""
         cases = {k: least_resolved_simple(caterpillar_digraph(k)) for k in (1024, 2048)}
         assert max(map(cases[2048].depth, range(cases[2048].n_vertices))) == 2047
         cases = {k: (tree, evaluate(tree)) for k, tree in cases.items()}
         cases["random"] = random_tree_like_instance(7, 2048, 8)
-        best = {(case, f): float("inf") for case in cases for f in ("evaluate", "explains")}
-        for _ in range(5):
-            for case, (tree, fmap) in cases.items():
-                t0 = time.perf_counter()
-                assert explains(tree, fmap)
-                t1 = time.perf_counter()
-                evaluate(tree)
-                t2 = time.perf_counter()
-                best[case, "explains"] = min(best[case, "explains"], t1 - t0)
-                best[case, "evaluate"] = min(best[case, "evaluate"], t2 - t1)
-        assert best[2048, "explains"] <= 3.0 * best["random", "explains"]
-        assert best[2048, "evaluate"] / best[1024, "evaluate"] <= 5.0
-        assert best[2048, "explains"] / best[1024, "explains"] <= 5.0
-
-
-def _call_medians(calls: dict, samples: int = 5) -> dict:
-    """Median seconds per call, the calls interleaved so that drift of the
-    host hits every one alike; each sample follows a collection and repeats
-    its call until it lasts at least 20 ms."""
-    times = {key: [] for key in calls}
-    for _ in range(samples):
-        for key, call in calls.items():
-            gc.collect()
-            reps, t0 = 0, time.perf_counter()
-            while True:
-                call()
-                reps += 1
-                dt = time.perf_counter() - t0
-                if dt >= 0.02:
-                    break
-            times[key].append(dt / reps)
-    return {key: statistics.median(ts) for key, ts in times.items()}
+        calls = {}
+        for case, (tree, fmap) in cases.items():
+            assert explains(tree, fmap)
+            calls[case, "explains"] = lambda tree=tree, fmap=fmap: explains(tree, fmap)
+            calls[case, "evaluate"] = lambda tree=tree: evaluate(tree)
+        medians = median_seconds(calls)
+        assert medians[2048, "explains"] <= 3.0 * medians["random", "explains"]
+        assert medians[2048, "evaluate"] / medians[1024, "evaluate"] <= 5.0
+        assert medians[2048, "explains"] / medians[1024, "explains"] <= 5.0
 
 
 class TestTreeOpsCost:
@@ -544,7 +480,7 @@ class TestTreeOpsCost:
         trees = {n: caterpillar(n) for n in (2048, 4096)}
         for tree in trees.values():
             assert restrict(tree, tree.leaf_names) == tree
-        medians = _call_medians({
+        medians = median_seconds({
             n: lambda tree=tree: restrict(tree, tree.leaf_names) for n, tree in trees.items()
         })
         assert medians[4096] / medians[2048] <= 3.0
@@ -554,7 +490,9 @@ class TestTreeOpsCost:
         most triples the median, and n = 2048 peaks at most 2 MB, as no
         cluster is built as a set."""
         trees = {n: caterpillar(n) for n in (1024, 2048)}
-        medians = _call_medians({n: lambda tree=tree: displays(tree, tree) for n, tree in trees.items()})
+        medians = median_seconds({
+            n: lambda tree=tree: displays(tree, tree) for n, tree in trees.items()
+        })
         assert medians[2048] / medians[1024] <= 3.0
         gc.collect()
         tracemalloc.start()

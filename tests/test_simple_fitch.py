@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -170,6 +171,21 @@ def assert_decisive_and_matches_reference(g: Digraph) -> bool:
     with pytest.raises(NotFitch):
         _decompose(g, "1")
     return False
+
+
+class TestDigraphErrors:
+    @pytest.mark.parametrize(
+        "vertices, arcs, message",
+        [
+            (("a", "b", "a"), [], "duplicate vertex 'a'"),
+            (("a", "b"), [("a", "z")], "arc ('a', 'z') leaves the vertex set"),
+            (("a", "b"), [("a", "b"), ("b", "b")], "reflexive arc on 'b'"),
+        ],
+    )
+    def test_constructor_errors(self, vertices, arcs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+            Digraph(vertices, arcs)
+        assert info.type is ValueError
 
 
 class TestInduced:
