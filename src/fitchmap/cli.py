@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import statistics
 import sys
@@ -19,7 +20,7 @@ from itertools import product
 from typing import Optional, Sequence
 
 from . import __version__, io, oracle
-from .core import NO_EVENT, FitchError, LabelConflict, RootedTriple, TripleSet, make_fitch_map
+from .core import NO_EVENT, FitchError, FitchMap, LabelConflict, RootedTriple, TripleSet, make_fitch_map
 from .evaluate import evaluate, explains
 from .generalized import recognize
 from .triples import Inconsistent, aho_build, informative_triples
@@ -32,6 +33,17 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
+def _read_map(path: str) -> FitchMap:
+    """The map in the .fm file at `path`: a regular file streams through io's byte
+    path, read again as text if that declines; stdin and pipes are read as text."""
+    if path != "-" and os.path.isfile(path):
+        with open(path, "rb") as fh:
+            fmap = io._read_map_file(fh)
+        if fmap is not None:
+            return fmap
+    return io.read_map(_read_text(path))
+
+
 def _write_text(path: Optional[str], text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -40,13 +52,22 @@ def _write_text(path: Optional[str], text: str) -> None:
             fh.write(text)
 
 
+def _write_map(path: Optional[str], fmap: FitchMap) -> None:
+    if path is None or path == "-":
+        sys.stdout.flush()
+        sys.stdout.buffer.writelines(io._map_blocks(fmap))
+    else:
+        with open(path, "wb") as fh:
+            fh.writelines(io._map_blocks(fmap))
+
+
 def _info(args, message: str) -> None:
     if not args.quiet:
         print(message)
 
 
 def _cmd_recognize(args) -> int:
-    fmap = io.read_map(_read_text(args.map))
+    fmap = _read_map(args.map)
     report = recognize(fmap)
     if args.report == "json":
         sys.stdout.write(json.dumps(report.to_json(), sort_keys=True) + "\n")
@@ -69,13 +90,13 @@ def _cmd_evaluate(args) -> int:
     except LabelConflict as e:
         sys.stderr.write(f"label conflict: {e}\n")
         return 1
-    _write_text(args.output, io.write_map(fmap))
+    _write_map(args.output, fmap)
     return 0
 
 
 def _cmd_check(args) -> int:
     tree = io.read_tree(_read_text(args.tree))
-    fmap = io.read_map(_read_text(args.map))
+    fmap = _read_map(args.map)
     if explains(tree, fmap):
         _info(args, "tree explains the map")
         return 0
@@ -106,7 +127,7 @@ def _parse_triples(text: str) -> TripleSet:
 
 
 def _cmd_triples(args) -> int:
-    fmap = io.read_map(_read_text(args.map))
+    fmap = _read_map(args.map)
     _write_text(args.output, _format_triples(informative_triples(fmap)))
     return 0
 
@@ -127,7 +148,7 @@ def _cmd_gen_random(args) -> int:
     tree, fmap = oracle.random_tree_like_instance(args.seed, args.leaves, args.symbols)
     prefix = args.o_prefix
     _write_text(f"{prefix}.lnw", io.write_tree(tree))
-    _write_text(f"{prefix}.fm", io.write_map(fmap))
+    _write_map(f"{prefix}.fm", fmap)
     _info(args, f"wrote {prefix}.lnw and {prefix}.fm")
     return 0
 

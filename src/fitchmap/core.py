@@ -148,11 +148,13 @@ def check_token(token: str, role: str = "symbol") -> str:
 
 def _check_edge_labels(labels: Sequence[Optional[Label]], root: int) -> None:
     """Every label but the root's is NO_EVENT or a valid symbol."""
+    checked = set()  # each distinct symbol is checked once
     for v, lab in enumerate(labels):
         if v != root and lab is not NO_EVENT:
             if not isinstance(lab, str):
                 raise InvalidToken(f"edge label must be a symbol or NO_EVENT, got {lab!r}")
-            check_token(lab, "edge label")
+            if lab not in checked:
+                checked.add(check_token(lab, "edge label"))
 
 
 def label_token(label: Label) -> str:

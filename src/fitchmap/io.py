@@ -7,15 +7,18 @@ required.
 
 Maps whose tokens are all one ASCII character, such as every generated
 map with at most 9 symbols, take the byte path, in blocks of about 64K
-cells.  The reader checks the body's length, its tabs and newlines, the
-diagonal and each distinct token by C-level byte operations, and codes
-the cells through one translate table.  The writer translates the
-one-byte codes through a token table and puts the tabs and newlines in
-by slice assignment.  Every other input takes the row path: a token of
-several or non-ASCII characters, a carriage return, and every malformed
-body.  Its reader checks each row with C-level tests (cell count, the
-diagonal, each distinct token once) and walks a row cell by cell only to
-name the position of its error, so it alone raises the errors of a body.
+cells.  The reader takes the body in chunks of rows, sliced from
+read_map's text or read from the command line's binary file, checks them
+by C-level byte operations, copies the cells into one code array and
+codes it in place once the alphabet is known.  The writer translates the
+codes through a token table and puts the tabs and newlines in by slice
+assignment; the command line writes each block to its file.  Every other
+input takes the row path: a token of several or non-ASCII characters, a
+carriage return, and every malformed body; a file the byte path declines
+(a BOM, bytes not UTF-8) is read again as text.  Its reader checks each
+row with C-level tests (cell count, the diagonal, each distinct token
+once) and walks a row cell by cell only to name the position of its
+error, so it alone raises the errors of a body.
 
 Labeled-Newick format (.lnw): node := leafName | "(" node ":" label
 ("," node ":" label)+ ")", terminated by ";"; each edge label follows its
@@ -29,7 +32,8 @@ stack; it counts an error's line and column only when it raises one.
 from __future__ import annotations
 
 import re
-from typing import Optional
+from array import array
+from typing import BinaryIO, Callable, Iterator, Optional
 
 from .core import (
     NO_EVENT,
@@ -80,7 +84,15 @@ def read_map(text: str) -> FitchMap:
     end = text.find("\n", start + 1)
     if end < 0:
         raise ParseError(2, 1, "missing leaf-name line")
-    names = text[start + 1:end].split("\t")
+    names = _leaf_names(text[start + 1:end])
+    body = end + 1  # non-ASCII characters encode to more bytes, which the byte path declines
+    fmap = _read_cells(lambda a, b: text[body + a:body + b].encode("utf-8", "surrogatepass"), names)
+    return fmap if fmap is not None else _read_rows(text, names)
+
+
+def _leaf_names(line: str) -> list[str]:
+    """The checked leaf names of the leaf-name line, without its newline."""
+    names = line.split("\t")
     seen = set()
     col = 1
     for nm in names:
@@ -96,32 +108,42 @@ def read_map(text: str) -> FitchMap:
             raise ParseError(2, col, f"duplicate leaf name {nm!r}")
         seen.add(nm)
         col += len(nm) + 1
-    n = len(names)
-    if n < 2:
-        raise ShapeError(2, 1, f"need at least 2 leaves, found {n}")
-    fmap = _read_cells(text, end + 1, names)
-    return fmap if fmap is not None else _read_rows(text, names)
+    if len(names) < 2:
+        raise ShapeError(2, 1, f"need at least 2 leaves, found {len(names)}")
+    return names
 
 
-def _read_cells(text: str, start: int, names: list[str]) -> Optional[FitchMap]:
-    """The byte path: the map whose body, from text[start:], is n rows of
-    n one-character ASCII cells, checked by C-level string and byte
-    operations on blocks of about _BLOCK_CELLS cells; None for any other
-    body, well formed or not, which the row path then reads."""
-    n = len(names)
-    if len(text) - start != 2 * n * n:
+def _read_map_file(fh: BinaryIO) -> Optional[FitchMap]:
+    """The map in the binary file fh by the byte path; None, with fh partly read,
+    for any other file than a clean LF map of one-character ASCII tokens."""
+    if fh.readline(len(_MAP_HEADER) + 1) != f"{_MAP_HEADER}\n".encode():
         return None
+    try:
+        # a name line cut by the end of the file has an empty body to decline
+        names = _leaf_names(fh.readline()[:-1].decode())
+    except (UnicodeDecodeError, FitchError):
+        return None
+    return _read_cells(lambda a, b: fh.read(b - a), names)
+
+
+def _read_cells(read: Callable[[int, int], bytes], names: list[str]) -> Optional[FitchMap]:
+    """The byte path: the map whose body (its bytes a to b are read(a, b),
+    asked for in order) is n rows of n one-character ASCII cells and no
+    more, checked by C-level byte operations on chunks of about
+    _BLOCK_CELLS cells; None for any other body, which the row path reads."""
+    n = len(names)
     rows = max(1, _BLOCK_CELLS // n)
-    seps = ("\t" * (n - 1) + "\n") * rows
+    seps = (b"\t" * (n - 1) + b"\n") * rows
     known = b"-"  # the tokens that passed check_token, and '-'
-    blocks = []
+    # raw cells, coded once the alphabet is known; 110 symbols at most fit one byte
+    codes = array("b", bytes(1)) * (n * n)
+    cells = memoryview(codes).cast("B")
     for r in range(0, n, rows):
         k = min(rows, n - r)
-        a, b = start + 2 * n * r, start + 2 * n * (r + k)
-        block = text[a:b:2]
-        if text[a + 1:b:2] != seps[:k * n] or not block.isascii():
+        chunk = read(2 * n * r, 2 * n * (r + k))
+        block = chunk[::2]
+        if chunk[1::2] != seps[:k * n] or not block.isascii():
             return None
-        block = block.encode()
         new = block.translate(None, known)  # the dots, and tokens not yet known
         if block[r::n + 1] != b"." * k or new.count(b".") != k:
             return None
@@ -133,12 +155,13 @@ def _read_cells(text: str, start: int, names: list[str]) -> Optional[FitchMap]:
                 return None
             known += new[:1]
             new = new.translate(None, new[:1])
-        blocks.append(block)
+        cells[r * n:(r + k) * n] = block
+    if read(2 * n * n, 2 * n * n + 1):
+        return None
     alphabet = bytes(sorted(known[1:]))
     table = bytes.maketrans(b"-" + alphabet + b".", bytes(range(len(known))) + b"\xff")
-    codes = _code_array(len(alphabet))  # one byte a code, as in write_map
-    for block in blocks:
-        codes.frombytes(block.translate(table))
+    for a in range(0, n * n, _BLOCK_CELLS):
+        cells[a:a + _BLOCK_CELLS] = cells[a:a + _BLOCK_CELLS].tobytes().translate(table)
     return FitchMap._from_codes(tuple(names), tuple(alphabet.decode()), codes)
 
 
@@ -208,36 +231,38 @@ def _row_error(lineno: int, cells: list[str], i: int, n: int, known: set) -> Non
 
 
 def write_map(fmap: FitchMap) -> str:
-    head = f"{_MAP_HEADER}\n" + "\t".join(fmap.leaves) + "\n"
+    return "".join([block.decode("utf-8", "surrogatepass") for block in _map_blocks(fmap)])
+
+
+def _map_blocks(fmap: FitchMap) -> Iterator[bytes]:
+    """The .fm bytes of a map, the header and then block by block."""
+    yield (f"{_MAP_HEADER}\n" + "\t".join(fmap.leaves) + "\n").encode("utf-8", "surrogatepass")
     tokens = "-" + "".join(fmap.alphabet)  # code c is tokens[c]
     # one ASCII character a token leaves at most 110 symbols: one byte a code
     if len(tokens) == len(fmap.alphabet) + 1 and tokens.isascii():
-        blocks = _write_cells(fmap, tokens.encode().ljust(256, b"."))
+        yield from _write_cells(fmap, tokens.encode().ljust(256, b"."))
     else:
-        blocks = _write_rows(fmap)
-    return "".join([head, *blocks])
+        yield from (row.encode("utf-8", "surrogatepass") for row in _write_rows(fmap))
 
 
-def _write_cells(fmap: FitchMap, table: bytes) -> list[str]:
+def _write_cells(fmap: FitchMap, table: bytes) -> Iterator[bytearray]:
     """The byte path: the rows of a map whose tokens are one ASCII
     character each, in blocks of about _BLOCK_CELLS cells; `table` takes
     each code's byte to its token, and the diagonal's -1 (byte 255) to '.'."""
     n = fmap.n
     rows = max(1, _BLOCK_CELLS // n)
     seps = (b".\t" * (n - 1) + b".\n") * rows  # the cells are written over the dots
-    blocks = []
     for r in range(0, n, rows):
         k = min(rows, n - r)
         block = bytearray(seps[:2 * k * n])
         block[::2] = fmap._rows_bytes(r, r + k).translate(table)
-        blocks.append(block.decode())
-    return blocks
+        yield block
 
 
-def _write_rows(fmap: FitchMap) -> list[str]:
+def _write_rows(fmap: FitchMap) -> Iterator[str]:
     """The row path: the rows of any map, token by token."""
     tokens = ("-", *fmap.alphabet, ".")  # code c is tokens[c]; the diagonal's -1 is '.'
-    return ["\t".join([tokens[c] for c in fmap._row(i)]) + "\n" for i in range(fmap.n)]
+    return ("\t".join([tokens[c] for c in fmap._row(i)]) + "\n" for i in range(fmap.n))
 
 
 # ---------------------------------------------------------------------------
@@ -258,17 +283,19 @@ def _error(parts: list, k: int, at: int, expected: str, reason: str = "") -> Par
                       reason or f"expected {expected}, found {found!r}")
 
 
-def _token(parts: list, k: int, what: str, follow: tuple, label: bool = False) -> Label:
+def _token(parts: list, k: int, what: str, follow: tuple, checked: set,
+           label: bool = False) -> Label:
     """parts[k] up to its first whitespace: a token that passes check_token
-    unless it is a label's '-' (NO_EVENT), followed by a delimiter in `follow`."""
+    unless it is a label's '-' (NO_EVENT), followed by a delimiter in `follow`;
+    `checked` holds the tokens that passed, so each is checked once."""
     space = _SPACE.search(parts[k])
     tok = parts[k][:space.start()] if space else parts[k]
     if not tok:
         raise _error(parts, k, 0, what)
     dash = label and tok == "-"
-    if not dash:
+    if not dash and tok not in checked:
         try:
-            check_token(tok, "token")
+            checked.add(check_token(tok, "token"))
         except InvalidToken as e:
             raise _error(parts, k, 0, "", str(e)) from None
     if space or parts[k + 1] not in follow:
@@ -284,10 +311,11 @@ def read_tree(text: str) -> LabeledTree:
     parents: list[Optional[int]] = [None]
     labels: list[Optional[Label]] = [None]
     names: dict[int, str] = {}
+    checked: set = set()
     k = 2  # the token after the first delimiter
     if parts[0] or parts[1] != "(":
         # a bare leaf parses but cannot form a phylogenetic tree
-        names[0] = _token(parts, 0, "a leaf name or '('", (";",))
+        names[0] = _token(parts, 0, "a leaf name or '('", (";",), checked)
     else:
         # iterative descent: the stack holds the open '(' groups, so nesting
         # depth never touches the interpreter recursion limit
@@ -300,8 +328,8 @@ def read_tree(text: str) -> LabeledTree:
                 stack.append(len(parents) - 1)
                 k += 2
                 continue
-            names[len(parents) - 1] = _token(parts, k, "a leaf name", (":",))
-            labels.append(_token(parts, k + 2, "an edge label", (",", ")"), label=True))
+            names[len(parents) - 1] = _token(parts, k, "a leaf name", (":",), checked)
+            labels.append(_token(parts, k + 2, "an edge label", (",", ")"), checked, label=True))
             k += 4
             # the child is complete: the ',' after its label starts a
             # sibling, each ')' closes a group which then receives its label
@@ -311,7 +339,8 @@ def read_tree(text: str) -> LabeledTree:
                     break
                 if parts[k] or parts[k + 1] != ":":
                     raise _error(parts, k, 0, "':'")
-                labels[closed] = _token(parts, k + 2, "an edge label", (",", ")"), label=True)
+                labels[closed] = _token(parts, k + 2, "an edge label", (",", ")"), checked,
+                                        label=True)
                 k += 4
         if parts[k] or parts[k + 1] != ";":
             raise _error(parts, k, 0, "';'")

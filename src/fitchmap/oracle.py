@@ -9,7 +9,6 @@ witness checker.  All of it is independent of the recognition pipeline.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -52,22 +51,24 @@ def _set_partitions(items: tuple) -> Iterator[tuple[tuple, ...]]:
         yield ((head,),) + part
 
 
-@lru_cache(maxsize=None)
-def _topo_specs(leaves: tuple) -> tuple:
+def _topo_specs(leaves: tuple, memo: dict) -> tuple:
     """LabeledTree.build specs of every phylogenetic topology on the
     leaves, every edge NO_EVENT.
 
     A spec is a leaf name or a tuple of (child spec, NO_EVENT) pairs; the
     children leaf sets of the root range over all partitions with at least
-    two blocks, so every topology arises exactly once.
+    two blocks, so every topology arises exactly once.  `memo` lives for one
+    enumeration: kept, 7 leaves' 216,000 specs would slow every collection.
     """
     if len(leaves) == 1:
         return (leaves[0],)
+    if leaves in memo:
+        return memo[leaves]
     out = []
     for part in _set_partitions(leaves):
         if len(part) < 2:
             continue
-        block_specs = [_topo_specs(tuple(sorted(b))) for b in part]
+        block_specs = [_topo_specs(tuple(sorted(b)), memo) for b in part]
         choice = [0] * len(part)
         while True:
             out.append(tuple((block_specs[i][choice[i]], NO_EVENT) for i in range(len(part))))
@@ -78,7 +79,7 @@ def _topo_specs(leaves: tuple) -> tuple:
                 choice[i] = 0
             else:
                 break
-    return tuple(out)
+    return memo.setdefault(leaves, tuple(out))
 
 
 def count_topologies(n: int) -> int:
@@ -115,7 +116,7 @@ def enumerate_topologies(leaves: Iterable[str]) -> Iterator[LabeledTree]:
         raise TooManyLeaves(
             f"topology enumeration is capped at {_MAX_ENUM_LEAVES} leaves, got {len(names)}"
         )
-    for spec in sorted(_topo_specs(names), key=_spec_size):
+    for spec in sorted(_topo_specs(names, {}), key=_spec_size):
         yield LabeledTree.build(spec)
 
 

@@ -223,17 +223,15 @@ _CLOSURE_MAX_LEAVES = 7
 
 
 @lru_cache(maxsize=8)
-def _indexed_triple_sets(k: int) -> tuple:
-    """For every topology on k index leaves: its displayed triples as
-    frozen (i, j, k) position sets, i < j."""
+def _indexed_triple_sets(k: int) -> tuple[int, ...]:
+    """For every topology on k index leaves: its displayed triples (i, j, c),
+    i < j, as one int with bit (i * k + j) * k + c each, which the garbage
+    collector does not track, unlike a set of tuples."""
     names = tuple(str(i) for i in range(k))
-    out = []
-    for topo in oracle.enumerate_topologies(names):
-        rt = frozenset(
-            (int(t.a), int(t.b), int(t.c)) for t in triples_of(topo)
-        )
-        out.append(rt)
-    return tuple(out)
+    return tuple(
+        sum({1 << (int(t.a) * k + int(t.b)) * k + int(t.c) for t in triples_of(topo)})
+        for topo in oracle.enumerate_topologies(names)
+    )
 
 
 def closure_small(
@@ -253,23 +251,22 @@ def closure_small(
         return TripleSet()
 
     pos = {nm: i for i, nm in enumerate(universe)}
-    want = frozenset(
-        (min(pos[t.a], pos[t.b]), max(pos[t.a], pos[t.b]), pos[t.c]) for t in triples
-    )
-    meet: Optional[set] = None
+    want = sum({
+        1 << (min(pos[t.a], pos[t.b]) * k + max(pos[t.a], pos[t.b])) * k + pos[t.c]
+        for t in triples
+    })
+    meet: Optional[int] = None
     for rt in _indexed_triple_sets(k):
-        if want <= rt:
-            if meet is None:
-                meet = set(rt)
-            else:
-                meet &= rt
+        if want & ~rt == 0:
+            meet = rt if meet is None else meet & rt
             if not meet:
                 # a displayer exists and the intersection cannot grow back
                 break
     if meet is None:
         raise InconsistentInput("no tree displays the given triples")
     return TripleSet(
-        RootedTriple(universe[i], universe[j], universe[c]) for i, j, c in meet
+        RootedTriple(universe[bit // k // k], universe[bit // k % k], universe[bit % k])
+        for bit in range(meet.bit_length()) if meet >> bit & 1
     )
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +9,11 @@ import pytest
 
 from fitchmap import cli
 from fitchmap.cli import main
+from fitchmap.evaluate import evaluate
 from fitchmap.generalized import RecognitionReport, T2Violation
-from fitchmap.io import read_map, read_tree
+from fitchmap.io import read_map, read_tree, write_map, write_tree
+from fitchmap.oracle import random_tree_like_instance
+from test_io import MUTATIONS, one_char_text
 
 T1_VIOLATING = "#fitchmap v1\na\tb\tc\n.\t-\t1\n-\t.\t2\n-\t-\t.\n"
 CONFLICTING_TREE = "((a:-,b:1):2,c:-);\n"
@@ -135,6 +139,71 @@ class TestRecognize:
             assert code == 2
             assert err.startswith("error:") and "utf-8" in err
             assert out == ""
+
+
+def map_file_corpus():
+    """(name, bytes) of .fm files for the file path: the mutations of the
+    byte-path tests at n=300, more than one block, and the inputs that
+    text mode reads differently from the bytes or that are not UTF-8."""
+    rng = random.Random(300)
+    cases = [
+        (f"mutation-{m}", one_char_text(rng, 300, 9, 250, 299, m).encode())
+        for m in MUTATIONS
+    ]
+    text = one_char_text(rng, 300, 9, 0, 1, None)
+    tree_like = write_map(random_tree_like_instance(5, 300, 8)[1])
+    head, names, body = text.split("\n", 2)
+    wide = write_map(evaluate(read_tree("((a:-,b:x1):-,(c:-,d:y2):-);\n")))
+    return cases + [
+        ("tree-like", tree_like.encode()),
+        ("tree-like-crlf", tree_like.replace("\n", "\r\n").encode()),
+        ("crlf", text.replace("\n", "\r\n").encode()),
+        ("cr-only", text.replace("\n", "\r").encode()),
+        ("bom", b"\xef\xbb\xbf" + text.encode()),
+        ("non-utf8-header", b"#fitchmap v1\xff\n" + f"{names}\n{body}".encode()),
+        ("non-utf8-names", f"{head}\n".encode() + b"\xff" + f"{names}\n{body}".encode()),
+        ("non-utf8-body", text[:-4].encode() + b"\xff\t.\n"),
+        ("wide-token", wide.encode()),
+        ("truncated-last-row", text[:-5].encode() + b"\n"),
+        ("bytes-after-last-row", text.encode() + b"-"),
+        ("row-after-last-row", (text + text.rsplit("\n", 2)[1] + "\n").encode()),
+        ("empty", b""),
+    ]
+
+
+class TestMapFilePath:
+    """A .fm file path streams through io's byte path and, when that
+    declines, is read again as text: exit code, stdout and stderr are those
+    of read_map on the whole text, which alone raises the errors."""
+
+    @pytest.mark.parametrize("data", [pytest.param(data, id=name) for name, data in map_file_corpus()])
+    def test_file_path_matches_text_read(self, tmp_path, capsys, monkeypatch, data):
+        path = tmp_path / "m.fm"
+        path.write_bytes(data)
+        got = run(capsys, "recognize", str(path), "--report", "json")
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_read_map", lambda p: read_map(cli._read_text(p)))
+            assert got == run(capsys, "recognize", str(path), "--report", "json")
+
+    @pytest.mark.parametrize("symbols, rereads", [(("1", "2"), 0), (("x1", "y2"), 1)])
+    def test_text_is_read_only_when_the_byte_path_declines(
+        self, tmp_path, capsys, monkeypatch, symbols, rereads,
+    ):
+        tree = read_tree("((a:-,b:{0}):-,(c:-,d:{1}):-);\n".format(*symbols))
+        fm, lnw = tmp_path / "m.fm", tmp_path / "t.lnw"
+        fm.write_text(write_map(evaluate(tree)))
+        lnw.write_text(write_tree(tree))
+        read_text, reads = cli._read_text, []
+
+        def counted_read_text(path):
+            reads.append(path)
+            return read_text(path)
+
+        monkeypatch.setattr(cli, "_read_text", counted_read_text)
+        for argv in (["recognize", str(fm)], ["check", str(lnw), str(fm)], ["triples", str(fm)]):
+            reads.clear()
+            assert run(capsys, *argv)[0] == 0
+            assert reads.count(str(fm)) == rereads
 
 
 class TestEvaluateCheck:

@@ -4,8 +4,9 @@ behavior on corrupted inputs, the cost of .fm reading and writing, the
 memory of .fm reading and of .lnw writing, the cost of .lnw reading and
 of locating its errors, the cost of a negative verdict, the cost of
 building a deep class's tree, the cost of a column scan at a power-of-two
-n, the cost of certifying a deep tree and the cost and memory of
-restriction and display on a deep tree.
+n, the cost of certifying a deep tree, the cost and memory of restriction
+and display on a deep tree, the peak memory of the recognize and evaluate
+commands, and the heap that the closure's topology cache keeps.
 
 Every cost gate times its calls with conftest.median_seconds: one untimed
 warm-up call per key, then the median of 5 interleaved samples, each
@@ -14,20 +15,24 @@ the calls return run once, outside the timed calls."""
 
 import contextlib
 import gc
+import os
 import random
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from conftest import caterpillar_digraph, code_rows, median_seconds
-from fitchmap.core import NO_EVENT, FitchError, FitchMap, LabeledTree
+from fitchmap.cli import main
+from fitchmap.core import NO_EVENT, FitchError, FitchMap, LabeledTree, RootedTriple, TripleSet
 from fitchmap.evaluate import evaluate, explains
 from fitchmap.generalized import check_conditions, compute_classes, recognize
 from fitchmap.io import ParseError, read_map, read_tree, write_map, write_tree
 from fitchmap.oracle import enumerate_consistent_labelings, random_tree_like_instance, witness_holds
 from fitchmap.simple_fitch import Digraph, _decompose, derive_forbidden_table, least_resolved_simple
-from fitchmap.triples import aho_build
+from fitchmap.triples import _indexed_triple_sets, aho_build, closure_small
 from fitchmap.treeops import displays, restrict, triples_of
 
 
@@ -502,3 +507,52 @@ class TestTreeOpsCost:
         finally:
             tracemalloc.stop()
         assert peak <= 2e6
+
+
+# spawns argv and prints its exit code and ru_maxrss (KiB on Linux) as the last line
+_WAIT4 = ("import os, sys; pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ); "
+          "_, status, usage = os.wait4(pid, 0); "
+          "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+
+
+def _peak_rss(cwd: Path, *argv: str) -> int:
+    """The peak RSS, in bytes, of `python -m fitchmap argv` in a fresh process.
+
+    A small python process spawns and waits for it: a child's ru_maxrss is at
+    least the RSS of the process it was spawned from, which in pytest
+    exceeds the command's own peak."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    out = subprocess.run([sys.executable, "-c", _WAIT4, sys.executable, "-m", "fitchmap", *argv],
+                         cwd=cwd, env=env, capture_output=True, text=True, check=True).stdout
+    code, maxrss = map(int, out.splitlines()[-1].split())
+    assert code == 0, argv
+    return maxrss * 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is read in KiB, as Linux gives it")
+class TestCommandPeakMemory:
+    def test_map_commands_peak_under_twice_the_code_array(self, tmp_path):
+        """At n=2048, recognize and evaluate each peak at most 2 n^2 bytes,
+        twice the one-byte code array, above `--version`: the .fm bytes
+        stream between the file and the code array in blocks."""
+        n = 2048
+        assert main(["--quiet", "gen-random", "--seed", "11", "--leaves", str(n), "--symbols", "8",
+                     "-o-prefix", str(tmp_path / "inst")]) == 0
+        base = _peak_rss(tmp_path, "--version")
+        for argv in (["recognize", "inst.fm", "-o", "out.lnw"], ["evaluate", "inst.lnw", "-o", "out.fm"]):
+            assert _peak_rss(tmp_path, *argv) - base <= 2 * n * n, argv
+        assert (tmp_path / "out.fm").read_bytes() == (tmp_path / "inst.fm").read_bytes()
+
+
+class TestClosureHeap:
+    def test_seven_leaf_closure_keeps_few_tracked_objects(self):
+        """The closure's cache of the 39,208 topologies on 7 leaves holds one
+        int of triples each, which the garbage collector does not track: one
+        closure adds fewer than 1,000 objects to every full collection."""
+        _indexed_triple_sets.cache_clear()
+        gc.collect()
+        before = len(gc.get_objects())
+        triples = TripleSet([RootedTriple("a", "b", "c")])
+        assert closure_small(triples, "abcdefg") == triples
+        gc.collect()
+        assert len(gc.get_objects()) - before < 1000
