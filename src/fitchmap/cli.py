@@ -53,7 +53,9 @@ def _write_text(path: Optional[str], text: str) -> None:
 
 
 def _write_map(path: Optional[str], fmap: FitchMap) -> None:
-    if path is None or path == "-":
+    if (path is None or path == "-") and not hasattr(sys.stdout, "buffer"):
+        sys.stdout.write(io.write_map(fmap))  # a text-only stdout, such as io.StringIO
+    elif path is None or path == "-":
         sys.stdout.flush()
         sys.stdout.buffer.writelines(io._map_blocks(fmap))
     else:

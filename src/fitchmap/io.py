@@ -31,6 +31,7 @@ stack; it counts an error's line and column only when it raises one.
 
 from __future__ import annotations
 
+import os
 import re
 from array import array
 from typing import BinaryIO, Callable, Iterator, Optional
@@ -86,7 +87,8 @@ def read_map(text: str) -> FitchMap:
         raise ParseError(2, 1, "missing leaf-name line")
     names = _leaf_names(text[start + 1:end])
     body = end + 1  # non-ASCII characters encode to more bytes, which the byte path declines
-    fmap = _read_cells(lambda a, b: text[body + a:body + b].encode("utf-8", "surrogatepass"), names)
+    fmap = _read_cells(lambda a, b: text[body + a:body + b].encode("utf-8", "surrogatepass"),
+                       names, len(text) - body)
     return fmap if fmap is not None else _read_rows(text, names)
 
 
@@ -123,15 +125,21 @@ def _read_map_file(fh: BinaryIO) -> Optional[FitchMap]:
         names = _leaf_names(fh.readline()[:-1].decode())
     except (UnicodeDecodeError, FitchError):
         return None
-    return _read_cells(lambda a, b: fh.read(b - a), names)
+    size = os.fstat(fh.fileno()).st_size - fh.tell()
+    return _read_cells(lambda a, b: fh.read(b - a), names, size)
 
 
-def _read_cells(read: Callable[[int, int], bytes], names: list[str]) -> Optional[FitchMap]:
-    """The byte path: the map whose body (its bytes a to b are read(a, b),
-    asked for in order) is n rows of n one-character ASCII cells and no
-    more, checked by C-level byte operations on chunks of about
-    _BLOCK_CELLS cells; None for any other body, which the row path reads."""
+def _read_cells(read: Callable[[int, int], bytes], names: list[str],
+                size: int) -> Optional[FitchMap]:
+    """The byte path: the map whose body of `size` characters (its bytes a
+    to b are read(a, b), asked for in order) is n rows of n one-character
+    ASCII cells, checked by C-level byte operations on chunks of about
+    _BLOCK_CELLS cells; None for any other body, which the row path reads.
+    A body of any other size than 2n^2 is declined before the code array
+    is allocated, so a short file costs no n^2 bytes."""
     n = len(names)
+    if size != 2 * n * n:
+        return None
     rows = max(1, _BLOCK_CELLS // n)
     seps = (b"\t" * (n - 1) + b"\n") * rows
     known = b"-"  # the tokens that passed check_token, and '-'
@@ -156,8 +164,6 @@ def _read_cells(read: Callable[[int, int], bytes], names: list[str]) -> Optional
             known += new[:1]
             new = new.translate(None, new[:1])
         cells[r * n:(r + k) * n] = block
-    if read(2 * n * n, 2 * n * n + 1):
-        return None
     alphabet = bytes(sorted(known[1:]))
     table = bytes.maketrans(b"-" + alphabet + b".", bytes(range(len(known))) + b"\xff")
     for a in range(0, n * n, _BLOCK_CELLS):
@@ -231,18 +237,31 @@ def _row_error(lineno: int, cells: list[str], i: int, n: int, known: set) -> Non
 
 
 def write_map(fmap: FitchMap) -> str:
-    return "".join([block.decode("utf-8", "surrogatepass") for block in _map_blocks(fmap)])
+    head, table = _map_head(fmap)
+    if table is None:
+        return "".join([head, *_write_rows(fmap)])
+    return "".join([head, *(block.decode() for block in _write_cells(fmap, table))])
 
 
 def _map_blocks(fmap: FitchMap) -> Iterator[bytes]:
     """The .fm bytes of a map, the header and then block by block."""
-    yield (f"{_MAP_HEADER}\n" + "\t".join(fmap.leaves) + "\n").encode("utf-8", "surrogatepass")
+    head, table = _map_head(fmap)
+    yield head.encode("utf-8", "surrogatepass")
+    if table is None:
+        yield from (row.encode("utf-8", "surrogatepass") for row in _write_rows(fmap))
+    else:
+        yield from _write_cells(fmap, table)
+
+
+def _map_head(fmap: FitchMap) -> tuple[str, Optional[bytes]]:
+    """The header and leaf-name lines of a map, and the token table of
+    _write_cells if the map takes the byte path, else None."""
+    head = f"{_MAP_HEADER}\n" + "\t".join(fmap.leaves) + "\n"
     tokens = "-" + "".join(fmap.alphabet)  # code c is tokens[c]
     # one ASCII character a token leaves at most 110 symbols: one byte a code
     if len(tokens) == len(fmap.alphabet) + 1 and tokens.isascii():
-        yield from _write_cells(fmap, tokens.encode().ljust(256, b"."))
-    else:
-        yield from (row.encode("utf-8", "surrogatepass") for row in _write_rows(fmap))
+        return head, tokens.encode().ljust(256, b".")
+    return head, None
 
 
 def _write_cells(fmap: FitchMap, table: bytes) -> Iterator[bytearray]:

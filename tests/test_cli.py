@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import random
@@ -164,6 +166,7 @@ def map_file_corpus():
         ("non-utf8-names", f"{head}\n".encode() + b"\xff" + f"{names}\n{body}".encode()),
         ("non-utf8-body", text[:-4].encode() + b"\xff\t.\n"),
         ("wide-token", wide.encode()),
+        ("missing-body", f"{head}\n{names}\n".encode()),
         ("truncated-last-row", text[:-5].encode() + b"\n"),
         ("bytes-after-last-row", text.encode() + b"-"),
         ("row-after-last-row", (text + text.rsplit("\n", 2)[1] + "\n").encode()),
@@ -221,6 +224,14 @@ class TestEvaluateCheck:
         assert code == 0
         assert out.startswith("#fitchmap v1\n")
         read_map(out)
+
+    def test_evaluate_to_text_only_stdout(self, tmp_path):
+        """A stdout without a byte buffer, such as io.StringIO, gets the text."""
+        path = tmp_path / "t.lnw"
+        path.write_text(EXAMPLE_TREE)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["evaluate", str(path)]) == 0
+        assert out.getvalue() == write_map(evaluate(read_tree(EXAMPLE_TREE)))
 
     def test_check_failure_exit_one(self, tmp_path, capsys):
         tree = tmp_path / "t.lnw"

@@ -251,6 +251,26 @@ class TestMapReaderMemory:
         assert retained <= 1.5e6
         assert peak <= 6e6
 
+    def test_missing_body_costs_no_code_array(self, tmp_path, capsys):
+        """A header and 20,000 leaf names with no body raise ShapeError, from
+        the library and from a command's file path, and peak at a few MB:
+        far below the 400 MB code array such a map would need."""
+        n = 20_000
+        text = "#fitchmap v1\n" + "\t".join(f"x{i}" for i in range(n)) + "\n"
+        path = tmp_path / "short.fm"
+        path.write_text(text)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match=f"expected {n} matrix rows, found 0"):
+                read_map(text)
+            assert main(["recognize", str(path)]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "expected 20000 matrix rows, found 0" in capsys.readouterr().err
+        assert peak <= 8e6
+
 
 class TestTreeWriterMemory:
     def test_deep_chain_text_peaks_linear(self):
